@@ -2,61 +2,56 @@
 """Toggle study: how lasso, MSB pruning, and bit reallocation combine.
 
 Runs the fixed-budget baseline plus fedmpq variants with each subroutine
-switched on or off, mirroring the usual ablation layout.
+switched on or off, mirroring the usual ablation layout. The setup is the
+INI config given (default configs/blobs.ini); the flags override single
+keys of it.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from fedmpq.data import DataConfig
-from fedmpq.nn import ModelConfig, TrainConfig
-from fedmpq.simulation import ExperimentConfig, run_experiment
+from fedmpq.config import parse_config
+from fedmpq.simulation import run_experiment
+
+
+def toggles(lasso: bool, msb: bool, realloc: bool) -> dict[str, str]:
+    keys = ("use_lasso", "use_msb_pruning", "use_bit_reallocation")
+    return {key: str(on).lower() for key, on in zip(keys, (lasso, msb, realloc))}
+
 
 VARIANTS = [
     ("baseline (fixed budgets)", "aqfl", {}),
-    ("lasso", "fedmpq", dict(use_lasso=True, use_msb_pruning=False, use_bit_reallocation=False)),
-    ("msb", "fedmpq", dict(use_lasso=False, use_msb_pruning=True, use_bit_reallocation=False)),
-    ("msb + lasso", "fedmpq", dict(use_lasso=True, use_msb_pruning=True, use_bit_reallocation=False)),
-    ("msb + realloc", "fedmpq", dict(use_lasso=False, use_msb_pruning=True, use_bit_reallocation=True)),
-    ("msb + lasso + realloc", "fedmpq", dict(use_lasso=True, use_msb_pruning=True, use_bit_reallocation=True)),
+    ("lasso", "fedmpq", toggles(True, False, False)),
+    ("msb", "fedmpq", toggles(False, True, False)),
+    ("msb + lasso", "fedmpq", toggles(True, True, False)),
+    ("msb + realloc", "fedmpq", toggles(False, True, True)),
+    ("msb + lasso + realloc", "fedmpq", toggles(True, True, True)),
 ]
+# Each flag overrides the OVERRIDE_KEYS entry of its name; unset, the config's value holds.
+FLAGS = ("rounds", "lasso_coeff", "prune_threshold")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("config", nargs="?", default=str(ROOT / "configs" / "blobs.ini"))
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--lasso-coeff", type=float, default=0.001)
-    parser.add_argument("--prune-threshold", type=float, default=0.02)
+    for flag in FLAGS:
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag)
     args = parser.parse_args()
+    overrides = {flag: getattr(args, flag) for flag in FLAGS}
 
     print(f"{'variant':24s} {'median':>8s}  per-seed")
-    for name, algorithm, toggles in VARIANTS:
+    for name, algorithm, switches in VARIANTS:
         accs = []
         for seed in args.seeds:
-            config = ExperimentConfig(
-                algorithm=algorithm,
-                clients=10,
-                participation=1.0,
-                rounds=args.rounds,
-                budgets=(2, 2, 4, 4, 4, 6, 6, 6, 8, 8),
-                alpha=0.5,
-                seed=seed,
-                train=TrainConfig(
-                    local_epochs=5,
-                    batch_size=32,
-                    learning_rate=0.5,
-                    lasso_coeff=args.lasso_coeff,
-                    prune_threshold=args.prune_threshold,
-                ),
-                model=ModelConfig(kind="mlp", hidden=(256, 8)),
-                data=DataConfig(train_samples=4000, test_samples=2000, cluster_std=1.4),
-                **toggles,
+            config = parse_config(
+                args.config, {**overrides, **switches, "algorithm": algorithm, "seed": str(seed)}
             )
             metrics, _ = run_experiment(config)
             accs.append(metrics[-1].test_accuracy)

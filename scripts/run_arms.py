@@ -1,74 +1,52 @@
 #!/usr/bin/env python3
 """Run the four algorithm arms over several seeds and tabulate accuracy.
 
-The default setup mirrors the benchmark configuration in
-configs/blobs.ini: 10 clients with budgets {2,2,4,4,4,6,6,6,8,8} training
-a bottlenecked MLP on overlapping Gaussian blobs.
+The setup is the INI config given (default configs/blobs.ini: 10 clients
+with budgets {2,2,4,4,4,6,6,6,8,8} training a bottlenecked MLP on
+overlapping Gaussian blobs); the flags override single keys of it.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from fedmpq.data import DataConfig
-from fedmpq.nn import ModelConfig, TrainConfig
-from fedmpq.simulation import ExperimentConfig, run_experiment
+from fedmpq.config import parse_config
+from fedmpq.simulation import run_experiment
 
-
-def build_config(algorithm: str, seed: int, args) -> ExperimentConfig:
-    return ExperimentConfig(
-        algorithm=algorithm,
-        clients=10,
-        participation=args.participation,
-        rounds=args.rounds,
-        budgets=(2, 2, 4, 4, 4, 6, 6, 6, 8, 8),
-        alpha=args.alpha,
-        seed=seed,
-        train=TrainConfig(
-            local_epochs=args.local_epochs,
-            batch_size=32,
-            learning_rate=args.learning_rate,
-            lasso_coeff=args.lasso_coeff,
-            prune_threshold=args.prune_threshold,
-        ),
-        model=ModelConfig(kind="mlp", hidden=tuple(args.hidden)),
-        data=DataConfig(
-            train_samples=args.train_samples,
-            test_samples=2000,
-            features=args.features,
-            classes=10,
-            cluster_std=args.cluster_std,
-        ),
-    )
+# Each flag overrides the OVERRIDE_KEYS entry of its name; unset, the config's value holds.
+FLAGS = (
+    "rounds",
+    "alpha",
+    "participation",
+    "local_epochs",
+    "learning_rate",
+    "lasso_coeff",
+    "prune_threshold",
+)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("config", nargs="?", default=str(ROOT / "configs" / "blobs.ini"))
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--alpha", type=float, default=0.5)
-    parser.add_argument("--participation", type=float, default=1.0)
-    parser.add_argument("--local-epochs", type=int, default=5)
-    parser.add_argument("--learning-rate", type=float, default=0.5)
-    parser.add_argument("--lasso-coeff", type=float, default=0.001)
-    parser.add_argument("--prune-threshold", type=float, default=0.02)
-    parser.add_argument("--hidden", type=int, nargs="+", default=[256, 8])
-    parser.add_argument("--features", type=int, default=20)
-    parser.add_argument("--train-samples", type=int, default=4000)
-    parser.add_argument("--cluster-std", type=float, default=1.4)
+    for flag in FLAGS:
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag)
     parser.add_argument(
         "--algorithms", nargs="+", default=["fp32", "fpq-k", "fedmpq", "aqfl"]
     )
     args = parser.parse_args()
+    overrides = {flag: getattr(args, flag) for flag in FLAGS}
 
     results: dict[str, list[float]] = {}
     for algorithm in args.algorithms:
         for seed in args.seeds:
-            metrics, _ = run_experiment(build_config(algorithm, seed, args))
+            arm = {**overrides, "algorithm": algorithm, "seed": str(seed)}
+            metrics, _ = run_experiment(parse_config(args.config, arm))
             acc = metrics[-1].test_accuracy
             results.setdefault(algorithm, []).append(acc)
             print(f"{algorithm:8s} seed {seed}: final accuracy {acc:.4f}", flush=True)

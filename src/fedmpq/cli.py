@@ -13,13 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, inspect_checkpoint
-from .config import (
-    ConfigError,
-    apply_overrides,
-    parse_config,
-    parse_config_text,
-    serialize_config,
-)
+from .config import OVERRIDE_KEYS, ConfigError, parse_config, serialize_config
 from .data import load_dataset
 from .simulation import PartitionError, dirichlet_partition, run_experiment
 
@@ -42,7 +36,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--use-bit-reallocation", dest="use_bit_reallocation", help="true/false"
     )
-    parser.add_argument("--workers", help="parallel client updates")
     parser.add_argument("--local-epochs", dest="local_epochs", help="epochs per round")
     parser.add_argument("--learning-rate", dest="learning_rate", help="SGD step size")
     parser.add_argument("--lasso-coeff", dest="lasso_coeff", help="regularizer weight")
@@ -53,18 +46,9 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--partition", help="pre-built shard file to reuse")
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    from .config import OVERRIDE_KEYS
-
-    return {flag: getattr(args, flag) for flag in OVERRIDE_KEYS if getattr(args, flag, None)}
-
-
 def _load_config_with_overrides(args: argparse.Namespace):
-    text = Path(args.config).read_text()
-    overrides = _collect_overrides(args)
-    if overrides:
-        text = apply_overrides(text, overrides)
-    config = parse_config_text(text)
+    overrides = {flag: getattr(args, flag) for flag in OVERRIDE_KEYS if getattr(args, flag, None)}
+    config = parse_config(args.config, overrides)
     return config, serialize_config(config)
 
 
@@ -75,10 +59,19 @@ def _default_out_dir(config, config_path: str) -> Path:
 
 
 def _load_partition_file(path: str, n_clients: int) -> list[np.ndarray]:
-    record = json.loads(Path(path).read_text())
-    shards = [np.asarray(s, dtype=np.int64) for s in record["shards"]]
+    """Shards from a file written by ``fedmpq partition``; index ranges are
+    checked against the dataset when the run starts."""
+    try:
+        record = json.loads(Path(path).read_text())
+        shards = [np.asarray(s, dtype=np.int64) for s in record["shards"]]
+    except (OSError, ValueError) as exc:
+        raise PartitionError(f"cannot read partition file {path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise PartitionError(f"partition file {path} has no 'shards' list of lists") from exc
+    if any(s.ndim != 1 for s in shards):
+        raise PartitionError(f"partition file {path}: every shard must be a list of indices")
     if len(shards) != n_clients:
-        raise ConfigError(
+        raise PartitionError(
             f"partition file holds {len(shards)} shards but the config has "
             f"{n_clients} clients"
         )
@@ -91,16 +84,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
     out_dir = Path(args.out) if args.out else _default_out_dir(config, args.config)
-    shards = None
-    if config.data.partition:
-        shards = _load_partition_file(config.data.partition, config.clients)
     try:
+        shards = None
+        if config.data.partition:
+            shards = _load_partition_file(config.data.partition, config.clients)
         metrics, _ = run_experiment(config, out_dir, shards, canonical)
-    except (PartitionError, ValueError) as exc:
+    except (PartitionError, ValueError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     final = metrics[-1]
@@ -117,12 +107,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    dataset = load_dataset(config.data, config.seed)
     try:
+        dataset = load_dataset(config.data, config.seed)
         shards = dirichlet_partition(
             dataset.train_y, config.clients, config.alpha, config.seed
         )
-    except PartitionError as exc:
+    except (PartitionError, ValueError, OSError) as exc:
         print(f"partition failed: {exc}", file=sys.stderr)
         return 1
     record = {

@@ -60,7 +60,6 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "use_lasso": _Key(_parse_bool, "use_lasso"),
         "use_msb_pruning": _Key(_parse_bool, "use_msb_pruning"),
         "use_bit_reallocation": _Key(_parse_bool, "use_bit_reallocation"),
-        "workers": _Key(int, "workers"),
     },
     "train": {
         "local_epochs": _Key(int, "local_epochs"),
@@ -142,12 +141,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
+def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """The config in an INI file, with ``overrides`` (see OVERRIDE_KEYS) applied."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(apply_overrides(text, overrides) if overrides else text)
 
 
 def _fmt_value(value) -> str:
@@ -193,7 +193,6 @@ OVERRIDE_KEYS = {
     "use_lasso": ("experiment", "use_lasso"),
     "use_msb_pruning": ("experiment", "use_msb_pruning"),
     "use_bit_reallocation": ("experiment", "use_bit_reallocation"),
-    "workers": ("experiment", "workers"),
     "local_epochs": ("train", "local_epochs"),
     "learning_rate": ("train", "learning_rate"),
     "lasso_coeff": ("train", "lasso_coeff"),
@@ -206,7 +205,10 @@ OVERRIDE_KEYS = {
 def apply_overrides(text: str, overrides: dict[str, str]) -> str:
     """Rewrite config text with CLI overrides, then the result re-parses."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     for flag, raw in overrides.items():
         if raw is None:
             continue

@@ -87,8 +87,10 @@ def _read_idx(path: str | Path, expect_magic: int) -> np.ndarray:
     if magic != expect_magic:
         raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
     ndim = magic & 0xFF
-    dims = struct.unpack(f">{ndim}I", data[4 : 4 + 4 * ndim])
     start = 4 + 4 * ndim
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated IDX header")
+    dims = struct.unpack(f">{ndim}I", data[4:start])
     count = int(np.prod(dims))
     if len(data) - start < count:
         raise ValueError(f"{path}: truncated IDX payload")

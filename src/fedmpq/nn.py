@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -333,6 +333,42 @@ def local_objective(
     return float(loss)
 
 
+def _momentum_sgd(cfg: TrainConfig, params: list[np.ndarray]):
+    """Weight-space momentum SGD with weight decay, one buffer per tensor."""
+    bufs = [np.zeros_like(p) for p in params]
+
+    def step(l: int, w: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        bufs[l] = cfg.momentum * bufs[l] + (grad + cfg.weight_decay * w)
+        return w - cfg.learning_rate * bufs[l]
+
+    return step
+
+
+def _train(model, params: list, features, labels, cfg: TrainConfig, rng, act_bits, weight_step):
+    """Epochs of shuffled minibatches, the one client loop of every arm.
+
+    ``weight_step(l, param, grad)`` returns layer l's weight moved by its
+    task gradient; ``param`` is a QuantizedLayer or a real matrix, matching
+    ``model``. Biases always take a full-precision momentum-SGD step.
+    """
+    params = list(params)
+    biases = [b.copy() for b in model.biases]
+    bias_step = _momentum_sgd(cfg, biases)
+    n = len(labels)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            work = type(model)(model.spec, params, biases)
+            logits, cache = forward(work, features[sel], act_bits)
+            _, dlogits = softmax_cross_entropy(logits, labels[sel])
+            grads_w, grads_b = backward(cache, dlogits)
+            for l in range(len(params)):
+                params[l] = weight_step(l, params[l], grads_w[l])
+                biases[l] = bias_step(l, biases[l], grads_b[l])
+    return params, biases
+
+
 def local_update(
     model: QuantizedModel,
     features: np.ndarray,
@@ -343,44 +379,31 @@ def local_update(
     use_lasso: bool = True,
     use_msb_pruning: bool = True,
 ) -> tuple[QuantizedModel, tuple[int, ...]]:
-    """Client-side training: epochs of minibatch steps, then MSB pruning.
+    """Client-side training on the grid: snapped steps, then MSB pruning.
 
     Each layer's Lasso weight is lasso_coeff * M_l / M. Bit widths can only
     shrink; the returned vector reflects any planes dropped at the end.
     An empty shard leaves the model untouched.
     """
-    n = len(labels)
-    if n == 0:
+    if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
         return model, model.bit_widths
     spec = model.spec
-    counts = spec.param_counts
-    total = spec.total_params
-    layers = list(model.layers)
-    biases = [b.copy() for b in model.biases]
     ctxs = [
         UpdateContext(cfg.learning_rate, cfg.momentum, cfg.weight_decay, None, rng)
-        for _ in layers
+        for _ in model.layers
     ]
-    bias_buf = [np.zeros_like(b) for b in biases]
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            work = QuantizedModel(spec, layers, biases)
-            logits, cache = forward(work, features[sel], cfg.activation_bits)
-            _, dlogits = softmax_cross_entropy(logits, labels[sel])
-            grads_w, grads_b = backward(cache, dlogits)
-            for l in range(len(layers)):
-                lam = cfg.lasso_coeff * counts[l] / total if use_lasso else 0.0
-                layers[l] = sgd_step(layers[l], grads_w[l], ctxs[l], lam)
-                bias_buf[l] = cfg.momentum * bias_buf[l] + (
-                    grads_b[l] + cfg.weight_decay * biases[l]
-                )
-                biases[l] = biases[l] - cfg.learning_rate * bias_buf[l]
+    total = spec.total_params
+    lams = [cfg.lasso_coeff * c / total if use_lasso else 0.0 for c in spec.param_counts]
+
+    def snapped(l: int, layer: QuantizedLayer, grad: np.ndarray) -> QuantizedLayer:
+        return sgd_step(layer, grad, ctxs[l], lams[l])
+
+    layers, biases = _train(
+        model, model.layers, features, labels, cfg, rng, cfg.activation_bits, snapped
+    )
     if use_msb_pruning:
-        for l in range(len(layers)):
-            layers[l], _ = prune_msbs(layers[l], cfg.prune_threshold, cfg.scale_policy)
+        layers = [prune_msbs(layer, cfg.prune_threshold, cfg.scale_policy)[0] for layer in layers]
     trained = QuantizedModel(spec, layers, biases)
     return trained, trained.bit_widths
 
@@ -393,31 +416,11 @@ def local_update_dense(
     rng: np.random.Generator,
 ) -> DenseModel:
     """Full-precision counterpart of local_update: plain momentum SGD."""
-    n = len(labels)
-    if n == 0:
+    if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
         return model
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    bufs_w = [np.zeros_like(w) for w in weights]
-    bufs_b = [np.zeros_like(b) for b in biases]
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            work = DenseModel(model.spec, weights, biases)
-            logits, cache = forward(work, features[sel], None)
-            _, dlogits = softmax_cross_entropy(logits, labels[sel])
-            grads_w, grads_b = backward(cache, dlogits)
-            for l in range(len(weights)):
-                bufs_w[l] = cfg.momentum * bufs_w[l] + (
-                    grads_w[l] + cfg.weight_decay * weights[l]
-                )
-                weights[l] = weights[l] - cfg.learning_rate * bufs_w[l]
-                bufs_b[l] = cfg.momentum * bufs_b[l] + (
-                    grads_b[l] + cfg.weight_decay * biases[l]
-                )
-                biases[l] = biases[l] - cfg.learning_rate * bufs_b[l]
+    weight_step = _momentum_sgd(cfg, model.weights)
+    weights, biases = _train(model, model.weights, features, labels, cfg, rng, None, weight_step)
     return DenseModel(model.spec, weights, biases)
 
 

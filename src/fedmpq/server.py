@@ -1,10 +1,11 @@
 """Server-side aggregation and per-client bit-width reallocation.
 
-Uploads are de-quantized into full precision, combined with weights
-proportional to budget times shard size, and the per-layer bit widths are
-averaged into a fractional vector. Before the next round each client gets
-a customized re-quantization of the global model whose integer bit widths
-are adjusted to its budget by the greedy pruning-growing policy.
+Uploads are de-quantized into full precision (a full-precision arm
+uploads its real matrices at 32 bits), combined with weights proportional
+to budget times shard size, and the per-layer bit widths are averaged into
+a fractional vector. Before the next round each client gets a customized
+re-quantization of the global model whose integer bit widths are adjusted
+to its budget by the greedy pruning-growing policy.
 """
 
 from __future__ import annotations
@@ -19,33 +20,44 @@ from .quant import MAX_BITS, QuantizedLayer, ScalePolicy, dequantize, quantize
 logger = logging.getLogger(__name__)
 
 
+FP_WIRE_BITS = 32  # real matrices and biases travel as 32-bit floats
+
+
+def wire_bits(layer: QuantizedLayer | np.ndarray) -> int:
+    """Bits per uploaded weight: the grid width, or 32 for a real matrix."""
+    return layer.bit_width if isinstance(layer, QuantizedLayer) else FP_WIRE_BITS
+
+
+def check_width_budget(client_id: int, bit_widths, param_counts, budget: float, what: str) -> None:
+    """Average bits must fit the budget, one growing step of slack allowed."""
+    m = np.asarray(param_counts, dtype=np.int64)
+    avg = float(np.asarray(bit_widths) @ m) / m.sum()
+    slack = float(m.max()) / m.sum()
+    if avg > budget + slack + 1e-9:
+        raise ValueError(
+            f"client {client_id}: {what} average {avg:.3f} bits exceeds its budget {budget}"
+        )
+
+
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One client's upload: quantized layers plus bookkeeping."""
+    """One client's upload: quantized layers or real matrices, plus bookkeeping."""
 
     client_id: int
-    layers: tuple[QuantizedLayer, ...]
+    layers: tuple[QuantizedLayer | np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     bit_widths: tuple[int, ...]
     num_samples: int
     budget: float
 
     def __post_init__(self):
-        if self.bit_widths != tuple(l.bit_width for l in self.layers):
+        if self.bit_widths != tuple(wire_bits(l) for l in self.layers):
             raise ValueError("bit_widths must match the uploaded layers")
         if self.num_samples < 0:
             raise ValueError("num_samples must be non-negative")
 
     def check_budget(self, param_counts: np.ndarray) -> None:
-        """Average bits must fit the budget, one growing step of slack allowed."""
-        m = np.asarray(param_counts, dtype=np.int64)
-        avg = float(np.asarray(self.bit_widths) @ m) / m.sum()
-        slack = float(m.max()) / m.sum()
-        if avg > self.budget + slack + 1e-9:
-            raise ValueError(
-                f"client {self.client_id} exceeds its budget: "
-                f"average {avg:.3f} vs budget {self.budget}"
-            )
+        check_width_budget(self.client_id, self.bit_widths, param_counts, self.budget, "upload")
 
 
 @dataclass
@@ -76,7 +88,7 @@ class BudgetLedger:
 
 def convert_to_fp(update: ClientUpdate) -> list[np.ndarray]:
     """De-quantize every uploaded layer into real matrices."""
-    return [dequantize(layer) for layer in update.layers]
+    return [dequantize(l) if isinstance(l, QuantizedLayer) else l for l in update.layers]
 
 
 def aggregation_weights(updates: list[ClientUpdate]) -> np.ndarray:
@@ -99,7 +111,7 @@ def aggregate(updates: list[ClientUpdate], round_index: int = 0) -> GlobalModel:
     ups = sorted(updates, key=lambda u: u.client_id)
     p = aggregation_weights(ups)
     n_layers = len(ups[0].layers)
-    weights = [np.zeros_like(dequantize(ups[0].layers[l])) for l in range(n_layers)]
+    weights = [np.zeros_like(w) for w in convert_to_fp(ups[0])]
     biases = [np.zeros_like(ups[0].biases[l]) for l in range(n_layers)]
     bits = np.zeros(n_layers)
     for p_n, u in zip(p, ups):

@@ -15,7 +15,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,16 +34,17 @@ from .nn import (
     local_update,
     local_update_dense,
 )
-from .quant import plane_density, prune_msbs
+from .quant import QuantizedLayer, plane_density, prune_msbs
 from .server import (
+    FP_WIRE_BITS,
     BudgetLedger,
     ClientUpdate,
-    GlobalModel,
     aggregate,
-    aggregation_weights,
     binary_representation,
+    check_width_budget,
     pruning_growing,
     round_bitwidths,
+    wire_bits,
 )
 
 logger = logging.getLogger(__name__)
@@ -56,8 +56,6 @@ _SALT_INIT = 202
 _SALT_CLIENT = 303
 _SALT_SAMPLE = 404
 
-_BIAS_WIRE_BITS = 32
-_FP_WIRE_BITS = 32
 _RECORD_HEADER_BITS = 8 * _HEADER.size
 
 METRICS_COLUMNS = (
@@ -89,7 +87,6 @@ class ExperimentConfig:
     use_lasso: bool = True
     use_msb_pruning: bool = True
     use_bit_reallocation: bool = True
-    workers: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     data: DataConfig = field(default_factory=DataConfig)
@@ -114,8 +111,6 @@ class ExperimentConfig:
             raise ValueError("alpha must be positive")
         if not (1 <= self.fpq_bits <= 8):
             raise ValueError("fpq_bits must lie in [1, 8]")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -180,12 +175,12 @@ class _ArmSettings:
     use_lasso: bool
     use_msb_pruning: bool
     use_bit_reallocation: bool
-    fixed_bits: int | None  # uniform width for every layer and client, or None
+    fixed_bits: int | None  # uniform width for every layer and client (32 for fp32), or None
 
 
 def _arm_settings(config: ExperimentConfig) -> _ArmSettings:
     if config.algorithm == "fp32":
-        return _ArmSettings(False, None, False, False, False, None)
+        return _ArmSettings(False, None, False, False, False, FP_WIRE_BITS)
     if config.algorithm == "fpq-k":
         return _ArmSettings(True, config.fpq_bits, False, False, False, config.fpq_bits)
     if config.algorithm == "aqfl":
@@ -210,7 +205,6 @@ class SimState:
     global_biases: list[np.ndarray]
     global_bits: np.ndarray | None
     delivered_bits: dict[int, np.ndarray]
-    client_bits: dict[int, np.ndarray]
     ledger: BudgetLedger
     last_updates: dict[int, ClientUpdate]
     round_index: int = 0
@@ -228,6 +222,12 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
         )
     if len(shards) != config.clients:
         raise ValueError("partition does not match the configured client count")
+    n_train = len(dataset.train_y)
+    for client, shard in enumerate(shards):
+        if len(shard) and (shard.min() < 0 or shard.max() >= n_train):
+            raise PartitionError(
+                f"shard {client} holds an index outside the {n_train} training samples"
+            )
     spec = build_model_spec(config.model, dataset.input_shape, dataset.num_classes)
     rng = np.random.default_rng([config.seed, _SALT_INIT])
     dense = init_dense_model(spec, rng)
@@ -240,14 +240,13 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
         global_biases=dense.biases,
         global_bits=None,
         delivered_bits={},
-        client_bits={},
         ledger=BudgetLedger(),
         last_updates={},
     )
 
 
 def _delivery_bits(state: SimState, arm: _ArmSettings, client: int) -> np.ndarray:
-    """Integer bit widths this client's model is quantized at this round."""
+    """Integer bit widths this client's model is delivered at this round."""
     n_layers = len(state.spec.layers)
     if arm.fixed_bits is not None:
         return np.full(n_layers, arm.fixed_bits, dtype=np.int64)
@@ -256,7 +255,8 @@ def _delivery_bits(state: SimState, arm: _ArmSettings, client: int) -> np.ndarra
     if not arm.use_bit_reallocation:
         # Without server-side reallocation a client keeps whatever widths
         # its own pruning left behind.
-        return state.client_bits.get(client, default).copy()
+        last = state.last_updates.get(client)
+        return default if last is None else np.asarray(last.bit_widths, dtype=np.int64)
     if state.global_bits is None:
         return default
     return pruning_growing(
@@ -268,41 +268,20 @@ def _delivery_bits(state: SimState, arm: _ArmSettings, client: int) -> np.ndarra
 
 
 def upload_cost_bits(update: ClientUpdate) -> int:
-    """Wire cost of one upload under the checkpoint record format.
+    """Wire cost of one upload.
 
-    Per layer: the record header plus bit_width planes padded to whole
-    bytes; biases travel at 32 bits per entry.
+    A quantized layer travels as a checkpoint record: the record header
+    plus bit_width planes padded to whole bytes. Real matrices and biases
+    travel at 32 bits per entry.
     """
-    total = 0
+    total = FP_WIRE_BITS * sum(len(b) for b in update.biases)
     for layer in update.layers:
-        plane_bytes = (layer.num_params + 7) // 8
-        total += _RECORD_HEADER_BITS + 8 * layer.bit_width * plane_bytes
-    total += _BIAS_WIRE_BITS * sum(len(b) for b in update.biases)
+        if isinstance(layer, QuantizedLayer):
+            plane_bytes = (layer.num_params + 7) // 8
+            total += _RECORD_HEADER_BITS + 8 * layer.bit_width * plane_bytes
+        else:
+            total += FP_WIRE_BITS * layer.size
     return total
-
-
-def _dense_upload_cost_bits(spec: ModelSpec) -> int:
-    weights = spec.total_params
-    biases = sum(s.weight_shape[0] for s in spec.layers)
-    return _FP_WIRE_BITS * (weights + biases)
-
-
-def _aggregate_dense(
-    updates: list[tuple[int, DenseModel, int, float]], round_index: int
-) -> GlobalModel:
-    """FedAvg for the full-precision arm, same weighting as aggregate()."""
-    ups = sorted(updates, key=lambda u: u[0])
-    mass = np.array([budget * n for _, _, n, budget in ups], dtype=np.float64)
-    p = mass / mass.sum()
-    first = ups[0][1]
-    weights = [np.zeros_like(w) for w in first.weights]
-    biases = [np.zeros_like(b) for b in first.biases]
-    for p_n, (_, model, _, _) in zip(p, ups):
-        for l in range(len(weights)):
-            weights[l] += p_n * model.weights[l]
-            biases[l] += p_n * model.biases[l]
-    bits = np.full(len(weights), float(_FP_WIRE_BITS))
-    return GlobalModel(weights, biases, bits, round_index)
 
 
 def _client_avg_bits(state: SimState, arm: _ArmSettings) -> tuple[float, ...]:
@@ -310,20 +289,14 @@ def _client_avg_bits(state: SimState, arm: _ArmSettings) -> tuple[float, ...]:
     m = state.param_counts
     out = []
     for n in range(state.config.clients):
-        if not arm.quantized:
-            out.append(float(_FP_WIRE_BITS))
-            continue
-        if arm.fixed_bits is not None:
-            fallback = np.full(len(m), arm.fixed_bits, dtype=np.int64)
-        else:
-            fallback = np.full(len(m), state.config.budgets[n], dtype=np.int64)
-        widths = state.delivered_bits.get(n, fallback)
+        fallback = arm.fixed_bits if arm.fixed_bits is not None else state.config.budgets[n]
+        widths = state.delivered_bits.get(n, np.full(len(m), fallback, dtype=np.int64))
         out.append(float(widths @ m) / float(m.sum()))
     return tuple(out)
 
 
-def _global_densities(state: SimState, arm: _ArmSettings) -> tuple[tuple[float, ...], ...]:
-    if not arm.quantized or state.global_bits is None:
+def _global_densities(state: SimState) -> tuple[tuple[float, ...], ...]:
+    if state.global_bits is None:  # fp32, or no round aggregated yet
         return ()
     widths = round_bitwidths(state.global_bits)
     layers = binary_representation(
@@ -353,7 +326,7 @@ def _round_metrics(
         test_accuracy=acc,
         global_bits=tuple(float(x) for x in bits),
         client_avg_bits=_client_avg_bits(state, arm),
-        plane_densities=_global_densities(state, arm),
+        plane_densities=_global_densities(state),
         uploaded_bits=per_client,
         total_uploaded_bits=int(sum(per_client)),
         wall_time_sec=time.perf_counter() - started,
@@ -361,41 +334,31 @@ def _round_metrics(
 
 
 def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> RoundMetrics:
-    """One global round: deliver, train locally, aggregate, reallocate."""
+    """One global round: deliver, train locally, aggregate, reallocate.
+
+    Clients train one at a time in id order; every arm's uploads go through
+    the same FedAvg aggregation.
+    """
     started = time.perf_counter()
     arm = _arm_settings(config)
-    participants = sample_clients(
-        config.clients, config.participation, round_index, config.seed
-    )
     m = state.param_counts
-    slack = float(m.max()) / float(m.sum())
-
-    deliveries: dict[int, np.ndarray] = {}
-    for n in participants:
-        n = int(n)
-        if arm.quantized:
-            widths = _delivery_bits(state, arm, n)
-            if arm.fixed_bits is None:
-                avg = float(widths @ m) / float(m.sum())
-                assert avg <= config.budgets[n] + slack + 1e-9, (
-                    f"delivered widths for client {n} break the budget: {avg}"
-                )
-            deliveries[n] = widths
-            state.delivered_bits[n] = widths
-
     train_cfg = replace(config.train, activation_bits=arm.act_bits)
+    updates: list[ClientUpdate] = []
+    uploaded: dict[int, int] = {}
+    for n in sample_clients(config.clients, config.participation, round_index, config.seed):
+        n = int(n)
+        widths = _delivery_bits(state, arm, n)
+        if arm.fixed_bits is None:
+            check_width_budget(n, widths, m, config.budgets[n], "delivered widths")
+        state.delivered_bits[n] = widths
 
-    def train_one(n: int):
         rng = np.random.default_rng([config.seed, _SALT_CLIENT, n, round_index])
         idx = state.shards[n]
         xs, ys = state.dataset.train_x[idx], state.dataset.train_y[idx]
         if arm.quantized:
-            layers = binary_representation(
-                state.global_weights, deliveries[n], config.train.scale_policy
-            )
-            model = QuantizedModel(state.spec, layers, [b.copy() for b in state.global_biases])
-            trained, widths = local_update(
-                model,
+            layers = binary_representation(state.global_weights, widths, config.train.scale_policy)
+            trained, _ = local_update(
+                QuantizedModel(state.spec, layers, state.global_biases),
                 xs,
                 ys,
                 train_cfg,
@@ -403,51 +366,31 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
                 use_lasso=arm.use_lasso,
                 use_msb_pruning=arm.use_msb_pruning,
             )
-            return ClientUpdate(
-                client_id=n,
-                layers=tuple(trained.layers),
-                biases=tuple(trained.biases),
-                bit_widths=widths,
-                num_samples=len(ys),
-                budget=float(config.budgets[n]),
-            )
-        model = DenseModel(
-            state.spec,
-            [w.copy() for w in state.global_weights],
-            [b.copy() for b in state.global_biases],
+            layers = trained.layers
+        else:
+            model = DenseModel(state.spec, state.global_weights, state.global_biases)
+            trained = local_update_dense(model, xs, ys, train_cfg, rng)
+            layers = trained.weights
+        update = ClientUpdate(
+            client_id=n,
+            layers=tuple(layers),
+            biases=tuple(trained.biases),
+            bit_widths=tuple(wire_bits(l) for l in layers),
+            num_samples=len(ys),
+            budget=float(config.budgets[n]),
         )
-        trained = local_update_dense(model, xs, ys, train_cfg, rng)
-        return (n, trained, len(ys), float(config.budgets[n]))
+        if arm.fixed_bits is None:
+            update.check_budget(m)
+        uploaded[n] = upload_cost_bits(update)
+        state.ledger.record(n, widths, update.bit_widths)
+        state.last_updates[n] = update
+        updates.append(update)
 
-    ids = [int(n) for n in participants]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(train_one, ids))
-    else:
-        results = [train_one(n) for n in ids]
-
-    uploaded: dict[int, int] = {}
+    new_global = aggregate(updates, round_index)
+    state.global_weights = new_global.weights
+    state.global_biases = new_global.biases
     if arm.quantized:
-        updates = sorted(results, key=lambda u: u.client_id)
-        for u in updates:
-            if arm.fixed_bits is None:
-                u.check_budget(m)
-            uploaded[u.client_id] = upload_cost_bits(u)
-        new_global = aggregate(updates, round_index)
-        state.global_weights = new_global.weights
-        state.global_biases = new_global.biases
         state.global_bits = new_global.bit_widths
-        for u in updates:
-            state.ledger.record(u.client_id, deliveries[u.client_id], u.bit_widths)
-            state.client_bits[u.client_id] = np.asarray(u.bit_widths, dtype=np.int64)
-            state.last_updates[u.client_id] = u
-    else:
-        new_global = _aggregate_dense(results, round_index)
-        state.global_weights = new_global.weights
-        state.global_biases = new_global.biases
-        for n in ids:
-            uploaded[n] = _dense_upload_cost_bits(state.spec)
-
     state.round_index = round_index
     return _round_metrics(state, arm, round_index, uploaded, started)
 

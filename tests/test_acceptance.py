@@ -1,17 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-The heavier ordering experiments reuse one benchmark setup: 10 clients
-with budgets {2,2,4,4,4,6,6,6,8,8} on overlapping 10-class Gaussian
-blobs, a bottlenecked MLP, full participation, 30 rounds.
+The heavier ordering experiments reuse the benchmark setup of
+configs/blobs.ini: 10 clients with budgets {2,2,4,4,4,6,6,6,8,8} on
+overlapping 10-class Gaussian blobs, a bottlenecked MLP, full
+participation, 30 rounds.
 """
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedmpq.checkpoint import inspect_checkpoint, read_checkpoint, write_checkpoint
+from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import (
     DenseModel,
@@ -35,7 +38,6 @@ from fedmpq.quant import (
 )
 from fedmpq.server import pruning_growing
 from fedmpq.simulation import (
-    ExperimentConfig,
     count_prunable_msb_planes,
     metrics_csv_rows,
     run_experiment,
@@ -48,7 +50,7 @@ from fedmpq.ste import (
     ste_backward,
 )
 
-BUDGETS = (2, 2, 4, 4, 4, 6, 6, 6, 8, 8)
+BENCHMARK_INI = Path(__file__).resolve().parent.parent / "configs" / "blobs.ini"
 
 
 def report(criterion, detail):
@@ -188,26 +190,9 @@ def test_criterion_06_reallocation_properties():
 
 
 def _benchmark_config(algorithm, seed, **kw):
-    defaults = dict(
-        algorithm=algorithm,
-        clients=10,
-        participation=1.0,
-        rounds=30,
-        budgets=BUDGETS,
-        alpha=0.5,
-        seed=seed,
-        train=TrainConfig(
-            local_epochs=5,
-            batch_size=32,
-            learning_rate=0.5,
-            lasso_coeff=0.001,
-            prune_threshold=0.02,
-        ),
-        model=ModelConfig(kind="mlp", hidden=(256, 8)),
-        data=DataConfig(train_samples=4000, test_samples=2000, features=20, classes=10, cluster_std=1.4),
-    )
-    defaults.update(kw)
-    return ExperimentConfig(**defaults)
+    """configs/blobs.ini at this arm and seed, with config fields replaced by ``kw``."""
+    config = parse_config(BENCHMARK_INI, {"algorithm": algorithm, "seed": str(seed)})
+    return dataclasses.replace(config, **kw)
 
 
 def test_criterion_07_reduction_equivalence():

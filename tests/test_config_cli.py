@@ -238,3 +238,40 @@ class TestCmdCompare:
         out = capsys.readouterr().out
         assert "fp32" in out
         assert "medians:" in out
+
+
+class TestMalformedInputs:
+    """Bad partition and IDX files end with one stderr line and exit code 1."""
+
+    def one_line_error(self, capsys) -> str:
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "Traceback" not in err
+        return err
+
+    def run_with_partition(self, config_file, tmp_path, record) -> int:
+        shards = tmp_path / "p.json"
+        shards.write_text(json.dumps(record))
+        out = tmp_path / "o"
+        return main(["run", str(config_file), "--out", str(out), "--partition", str(shards)])
+
+    def test_partition_without_shards_key(self, config_file, tmp_path, capsys):
+        assert self.run_with_partition(config_file, tmp_path, {"clients": 1}) == 1
+        assert "'shards'" in self.one_line_error(capsys)
+
+    def test_partition_index_out_of_range(self, config_file, tmp_path, capsys):
+        assert self.run_with_partition(config_file, tmp_path, {"shards": [[0, 1, 99999]]}) == 1
+        assert "outside the 120 training samples" in self.one_line_error(capsys)
+
+    def test_truncated_idx_header(self, tmp_path, capsys):
+        idx = tmp_path / "six.idx"
+        idx.write_bytes(b"\x00\x00\x08\x03\x00\x00")
+        keys = ("train_images", "train_labels", "test_images", "test_labels")
+        config = tmp_path / "idx.ini"
+        data = "[data]\nkind = idx\n" + "".join(f"{k} = {idx}\n" for k in keys)
+        config.write_text(MINIMAL.split("[data]")[0] + data)
+        for command in (
+            ["run", str(config), "--out", str(tmp_path / "o")],
+            ["partition", str(config), "--out", str(tmp_path / "p.json")],
+        ):
+            assert main(command) == 1
+            assert "truncated IDX header" in self.one_line_error(capsys)

@@ -99,3 +99,16 @@ class TestIdx:
     def test_dispatch(self):
         data = load_dataset(DataConfig(train_samples=50, test_samples=20), seed=0)
         assert data.train_x.shape == (50, 20)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "six.idx"
+        path.write_bytes(b"\x00\x00\x08\x03\x00\x00")
+        cfg = DataConfig(
+            kind="idx",
+            train_images=str(path),
+            train_labels=str(path),
+            test_images=str(path),
+            test_labels=str(path),
+        )
+        with pytest.raises(ValueError, match="truncated IDX header"):
+            load_idx_dataset(cfg)

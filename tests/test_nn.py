@@ -19,6 +19,7 @@ from fedmpq.nn import (
     init_dense_model,
     local_objective,
     local_update,
+    local_update_dense,
     quantize_model,
     softmax_cross_entropy,
 )
@@ -324,6 +325,29 @@ class TestLocalUpdate:
         )
         after = local_objective(trained, blob_shard.train_x, blob_shard.train_y, 0.0)
         assert after < before
+
+
+class TestLocalUpdateDense:
+    def test_one_minibatch_is_one_sgd_step(self, blob_shard):
+        # With zero momentum buffers the first step is w - lr * (g + wd * w).
+        spec = ModelSpec((DenseSpec(8, 10), DenseSpec(10, 4)), (8,), 4)
+        model = init_dense_model(spec, np.random.default_rng([5, 202]))
+        before = [w.copy() for w in model.weights]
+        x, y = blob_shard.train_x, blob_shard.train_y
+        cfg = TrainConfig(local_epochs=1, batch_size=len(y), learning_rate=0.1, weight_decay=0.01)
+        trained = local_update_dense(model, x, y, cfg, np.random.default_rng(4))
+
+        order = np.random.default_rng(4).permutation(len(y))
+        logits, cache = forward(model, x[order], None)
+        _, dlogits = softmax_cross_entropy(logits, y[order])
+        grads_w, grads_b = backward(cache, dlogits)
+        pairs = [(trained.weights, model.weights, grads_w), (trained.biases, model.biases, grads_b)]
+        lr, wd = cfg.learning_rate, cfg.weight_decay
+        for got, start, grads in pairs:
+            for p, p0, g in zip(got, start, grads):
+                np.testing.assert_array_equal(p, p0 - lr * (g + wd * p0))
+        for w, w0 in zip(model.weights, before):
+            np.testing.assert_array_equal(w, w0)
 
 
 class TestEvaluate:

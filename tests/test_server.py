@@ -10,6 +10,7 @@ from fedmpq.server import (
     aggregate,
     aggregation_weights,
     binary_representation,
+    check_width_budget,
     convert_to_fp,
     pruning_growing,
     round_bitwidths,
@@ -59,16 +60,24 @@ class TestAggregate:
         assert result.round_index == 7
 
     def test_weighting_formula(self):
-        # v = {2, 8}, |D| = {100, 100} gives p = {0.2, 0.8}.
+        # v = {2, 8}, |D| = {100, 100} gives p = {0.2, 0.8}, for quantized
+        # uploads and for full-precision ones, which travel at 32 bits.
         rng = np.random.default_rng(3)
-        a = make_update(0, [rng.normal(size=(3, 3))], [2], 100, 2.0)
-        b = make_update(1, [rng.normal(size=(3, 3))], [8], 100, 8.0)
-        p = aggregation_weights([a, b])
-        np.testing.assert_allclose(p, [0.2, 0.8])
-        result = aggregate([a, b])
-        expected = 0.2 * dequantize(a.layers[0]) + 0.8 * dequantize(b.layers[0])
-        np.testing.assert_allclose(result.weights[0], expected)
-        np.testing.assert_allclose(result.bit_widths, [0.2 * 2 + 0.8 * 8])
+        wa, wb = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        quantized = (make_update(0, [wa], [2], 100, 2.0), make_update(1, [wb], [8], 100, 8.0))
+        full = (
+            ClientUpdate(0, (wa,), (np.zeros(3),), (32,), 100, 2.0),
+            ClientUpdate(1, (wb,), (np.zeros(3),), (32,), 100, 8.0),
+        )
+        for a, b in (quantized, full):
+            p = aggregation_weights([a, b])
+            np.testing.assert_allclose(p, [0.2, 0.8])
+            result = aggregate([a, b])
+            expected = 0.2 * convert_to_fp(a)[0] + 0.8 * convert_to_fp(b)[0]
+            np.testing.assert_allclose(result.weights[0], expected)
+            bits = 0.2 * a.bit_widths[0] + 0.8 * b.bit_widths[0]
+            np.testing.assert_allclose(result.bit_widths, [bits])
+        np.testing.assert_array_equal(convert_to_fp(full[0])[0], wa)
 
     def test_equal_budgets_plain_average(self):
         rng = np.random.default_rng(4)
@@ -217,6 +226,12 @@ class TestClientUpdateValidation:
         update.check_budget(np.array([100, 10]))
 
     def test_budget_check_rejects_blowout(self):
-        update = make_update(0, [np.ones((10, 10)), np.ones((2, 5))], [8, 8], 10, 2.0)
-        with pytest.raises(ValueError):
-            update.check_budget(np.array([100, 10]))
+        m = np.array([100, 10])
+        update = make_update(3, [np.ones((10, 10)), np.ones((2, 5))], [8, 8], 10, 2.0)
+        checks = (
+            lambda: update.check_budget(m),
+            lambda: check_width_budget(3, np.array([8, 8]), m, 2.0, "delivered widths"),
+        )
+        for check in checks:
+            with pytest.raises(ValueError, match="client 3"):
+                check()
