@@ -12,7 +12,6 @@ from .quant import (
     shift_add_matmul,
 )
 from .ste import (
-    PlaneGradient,
     UpdateContext,
     apply_update,
     fixed_point_delta,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quant import QuantizedLayer, _packed_bytes, plane_density
+from .quant import QuantizedLayer, plane_density
 
 MAGIC = b"FMPQ"
 FORMAT_VERSION = 1
@@ -27,6 +27,15 @@ _HEADER = struct.Struct("<4sHHIIBBd")
 
 class CheckpointError(Exception):
     """Raised for corrupt, truncated, or unsupported checkpoint data."""
+
+
+def _plane_bytes(num_params: int) -> int:
+    return (num_params + 7) // 8
+
+
+def record_bytes(layer: QuantizedLayer) -> int:
+    """Size of the layer's record: the header plus its byte-padded planes."""
+    return _HEADER.size + layer.bit_width * _plane_bytes(layer.num_params)
 
 
 def pack_layer_record(index: int, layer: QuantizedLayer) -> bytes:
@@ -53,8 +62,12 @@ def _parse_record(data: bytes, offset: int) -> tuple[int, QuantizedLayer, int]:
         raise CheckpointError(f"bad magic {magic!r} at byte {offset}")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {version}")
+    # Also bounds bits to [1, 8], since zero_point is one byte.
+    if 2 * zero_point != 1 << bits:
+        raise CheckpointError(f"invalid layer {index}: zero point {zero_point} for {bits} bits")
     offset += _HEADER.size
-    plane_bytes = _packed_bytes(rows * cols)
+    num_params = rows * cols
+    plane_bytes = _plane_bytes(num_params)
     body = bits * plane_bytes
     if len(data) - offset < body:
         raise CheckpointError(
@@ -62,9 +75,11 @@ def _parse_record(data: bytes, offset: int) -> tuple[int, QuantizedLayer, int]:
             f"have {len(data) - offset}"
         )
     packed = np.frombuffer(data, dtype=np.uint8, count=body, offset=offset)
-    packed = packed.reshape(bits, plane_bytes).copy()
+    planes = np.unpackbits(packed.reshape(bits, plane_bytes), axis=1, bitorder="little")
+    if planes[:, num_params:].any():
+        raise CheckpointError(f"invalid layer {index}: padding bits are not zero")
     try:
-        layer = QuantizedLayer(rows, cols, bits, scale, zero_point, packed)
+        layer = QuantizedLayer.from_planes(planes[:, :num_params].reshape(bits, rows, cols), scale)
     except ValueError as exc:
         raise CheckpointError(f"invalid layer {index}: {exc}") from exc
     return index, layer, offset + body

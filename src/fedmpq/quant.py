@@ -1,20 +1,18 @@
-"""Bit-plane fixed-point representation of weight matrices.
+"""Fixed-point representation of weight matrices and its bit planes.
 
-A b-bit layer stores one binary plane per significance position (LSB first)
-plus a real scale s and an integer zero point z = 2^(b-1). Code c in
+A b-bit layer stores one integer code per weight plus a real scale s; its
+zero point is z = 2^(b-1). Bit i of the codes forms binary plane i (LSB
+first), the view the shift-add product and the plane densities use. Code c in
 [0, 2^b - 1] maps to the real value s / (2^b - 1) * (c - z), so the
 representable range is [-s*z/(2^b-1), s*(2^b-1-z)/(2^b-1)].
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 MAX_BITS = 8
 
@@ -45,49 +43,44 @@ def scale_for(max_abs: float, bit_width: int, policy: ScalePolicy) -> float:
     return float(max_abs) * ((1 << bit_width) - 1) / (1 << (bit_width - 1))
 
 
-def _packed_bytes(num_params: int) -> int:
-    return (num_params + 7) // 8
-
-
 @dataclass(frozen=True, eq=False)
 class QuantizedLayer:
-    """Immutable bit-plane store for one weight matrix.
+    """Immutable fixed-point store for one weight matrix.
 
-    ``packed`` holds one row per plane, LSB plane first, each row the
-    little-bit-order packing of the plane flattened row-major. This matches
-    the checkpoint wire format byte for byte.
+    ``codes`` is the read-only uint8 matrix of integer codes. The binary
+    planes and their packed wire bytes are derived from it on demand.
     """
 
-    rows: int
-    cols: int
+    codes: np.ndarray
     bit_width: int
     scale: float
-    zero_point: int
-    packed: np.ndarray
 
     def __post_init__(self):
         if not (1 <= self.bit_width <= MAX_BITS):
             raise ValueError(f"bit_width must be in [1, {MAX_BITS}], got {self.bit_width}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("layer shape must be at least 1x1")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.zero_point != 1 << (self.bit_width - 1):
-            raise ValueError(
-                f"zero_point must equal 2^(bit_width-1): got {self.zero_point} "
-                f"for bit_width {self.bit_width}"
-            )
-        expected = (self.bit_width, _packed_bytes(self.num_params))
-        if self.packed.dtype != np.uint8 or self.packed.shape != expected:
-            raise ValueError(f"packed planes must be uint8 with shape {expected}")
-        pad = 8 * expected[1] - self.num_params
-        if pad and (self.packed[:, -1] >> (8 - pad)).any():
-            raise ValueError("padding bits in the last packed byte must be zero")
-        self.packed.flags.writeable = False
+        if self.codes.dtype != np.uint8 or self.codes.ndim != 2 or self.codes.size == 0:
+            raise ValueError("codes must be a uint8 matrix of at least 1x1")
+        if self.codes.max() >> self.bit_width:
+            raise ValueError(f"codes out of range for {self.bit_width}-bit layer")
+        self.codes.flags.writeable = False
+
+    @property
+    def rows(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.codes.shape[1]
 
     @property
     def num_params(self) -> int:
-        return self.rows * self.cols
+        return self.codes.size
+
+    @property
+    def zero_point(self) -> int:
+        return 1 << (self.bit_width - 1)
 
     @property
     def step(self) -> float:
@@ -103,17 +96,20 @@ class QuantizedLayer:
         return self.step * ((1 << self.bit_width) - 1 - self.zero_point)
 
     def planes(self) -> np.ndarray:
-        """Unpacked planes, shape (bit_width, rows, cols), entries 0/1."""
-        bits = np.unpackbits(self.packed, axis=1, count=self.num_params, bitorder="little")
-        return bits.reshape(self.bit_width, self.rows, self.cols)
+        """Binary planes, shape (bit_width, rows, cols), LSB plane first."""
+        shifts = np.arange(self.bit_width, dtype=np.uint8)[:, None, None]
+        return (self.codes >> shifts) & 1
 
-    def codes(self) -> np.ndarray:
-        weights = (1 << np.arange(self.bit_width, dtype=np.int64))
-        flat = weights @ self.planes().reshape(self.bit_width, -1).astype(np.int64)
-        return flat.reshape(self.rows, self.cols)
+    @property
+    def packed(self) -> np.ndarray:
+        """Wire bytes: one row per plane, LSB plane first, each row the
+        little-bit-order packing of the plane flattened row-major."""
+        flat = self.planes().reshape(self.bit_width, -1)
+        return np.packbits(flat, axis=1, bitorder="little")
 
     def values(self) -> np.ndarray:
-        return self.step * (self.codes() - self.zero_point)
+        # Widen first: uint8 minus the zero point would wrap around.
+        return self.step * (self.codes.astype(np.int64) - self.zero_point)
 
     @classmethod
     def from_planes(cls, planes: np.ndarray, scale: float) -> "QuantizedLayer":
@@ -122,20 +118,16 @@ class QuantizedLayer:
             raise ValueError("planes must have shape (bit_width, rows, cols)")
         if not np.isin(planes, (0, 1)).all():
             raise ValueError("plane entries must be exactly 0 or 1")
-        b, rows, cols = planes.shape
-        packed = np.packbits(planes.reshape(b, -1).astype(np.uint8), axis=1, bitorder="little")
-        return cls(rows, cols, b, float(scale), 1 << (b - 1), packed)
+        b = planes.shape[0]
+        return cls.from_codes(np.tensordot(1 << np.arange(b), planes, axes=1), scale, b)
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, scale: float, bit_width: int) -> "QuantizedLayer":
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.ndim != 2:
-            raise ValueError("codes must be a 2-D matrix")
-        if codes.min() < 0 or codes.max() > (1 << bit_width) - 1:
+        codes = np.asarray(codes)
+        # Reject what the uint8 cast would wrap; the width check is the constructor's.
+        if codes.size and (codes.min() < 0 or codes.max() >= 1 << MAX_BITS):
             raise ValueError(f"codes out of range for {bit_width}-bit layer")
-        shifts = np.arange(bit_width, dtype=np.int64)[:, None, None]
-        planes = ((codes[None, :, :] >> shifts) & 1).astype(np.uint8)
-        return cls.from_planes(planes, scale)
+        return cls(codes.astype(np.uint8), bit_width, float(scale))
 
 
 def dequantize(layer: QuantizedLayer) -> np.ndarray:
@@ -229,9 +221,8 @@ def prune_msbs(
         width -= 1
     if width == layer.bit_width:
         return layer, width
-    kept = layer.planes()[:width].reshape(width, -1).astype(np.int64)
-    codes = (1 << np.arange(width, dtype=np.int64)) @ kept
-    survivors = layer.step * (codes.reshape(layer.rows, layer.cols) - layer.zero_point)
+    kept = (layer.codes & ((1 << width) - 1)).astype(np.int64)
+    survivors = layer.step * (kept - layer.zero_point)
     return quantize(survivors, width, policy), width
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import _HEADER, write_checkpoint
+from .checkpoint import record_bytes, write_checkpoint
 from .data import DataConfig, Dataset, load_dataset
 from .nn import (
     DenseModel,
@@ -55,8 +55,6 @@ _SALT_PARTITION = 101
 _SALT_INIT = 202
 _SALT_CLIENT = 303
 _SALT_SAMPLE = 404
-
-_RECORD_HEADER_BITS = 8 * _HEADER.size
 
 METRICS_COLUMNS = (
     "round",
@@ -228,6 +226,10 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
             raise PartitionError(
                 f"shard {client} holds an index outside the {n_train} training samples"
             )
+    holders = np.bincount(np.concatenate(shards), minlength=n_train)
+    if (holders != 1).any():
+        i = int(np.argmax(holders != 1))
+        raise PartitionError(f"training sample {i} is in {holders[i]} shards, not exactly one")
     spec = build_model_spec(config.model, dataset.input_shape, dataset.num_classes)
     rng = np.random.default_rng([config.seed, _SALT_INIT])
     dense = init_dense_model(spec, rng)
@@ -270,15 +272,13 @@ def _delivery_bits(state: SimState, arm: _ArmSettings, client: int) -> np.ndarra
 def upload_cost_bits(update: ClientUpdate) -> int:
     """Wire cost of one upload.
 
-    A quantized layer travels as a checkpoint record: the record header
-    plus bit_width planes padded to whole bytes. Real matrices and biases
-    travel at 32 bits per entry.
+    A quantized layer travels as a checkpoint record. Real matrices and
+    biases travel at 32 bits per entry.
     """
     total = FP_WIRE_BITS * sum(len(b) for b in update.biases)
     for layer in update.layers:
         if isinstance(layer, QuantizedLayer):
-            plane_bytes = (layer.num_params + 7) // 8
-            total += _RECORD_HEADER_BITS + 8 * layer.bit_width * plane_bytes
+            total += 8 * record_bytes(layer)
         else:
             total += FP_WIRE_BITS * layer.size
     return total
@@ -371,6 +371,9 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
             model = DenseModel(state.spec, state.global_weights, state.global_biases)
             trained = local_update_dense(model, xs, ys, train_cfg, rng)
             layers = trained.weights
+        trained_arrays = list(trained.biases) + ([] if arm.quantized else list(layers))
+        if not all(np.isfinite(a).all() for a in trained_arrays):
+            raise ValueError(f"round {round_index}, client {n}: trained model is not finite")
         update = ClientUpdate(
             client_id=n,
             layers=tuple(layers),

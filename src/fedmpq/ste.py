@@ -10,15 +10,12 @@ single minimum step.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quant import QuantizedLayer
-
-logger = logging.getLogger(__name__)
 
 # Mantissas from frexp live in [0.5, 1); those below sqrt(1/2) round the
 # exponent down, the rest (ties included) round up.
@@ -42,18 +39,6 @@ def _nearest_pow2_exponent(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PlaneGradient:
-    """Per-plane real gradients, shape (bit_width, rows, cols)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise ValueError("plane gradients must have shape (bit_width, rows, cols)")
-
-
-@dataclass
 class UpdateContext:
     """Per-layer optimizer state owned by a single client.
 
@@ -69,11 +54,11 @@ class UpdateContext:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
 
-def ste_backward(grad_w: np.ndarray, layer: QuantizedLayer) -> PlaneGradient:
+def ste_backward(grad_w: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
     """Spread a weight-space gradient over the binary planes.
 
     Plane i (1-based from the LSB) gets s * 2^(i-1) / (2^b - 1) times the
-    incoming gradient, elementwise.
+    incoming gradient, elementwise; the result has shape (bit_width, rows, cols).
     """
     g = np.asarray(grad_w, dtype=np.float64)
     if g.shape != (layer.rows, layer.cols):
@@ -81,10 +66,10 @@ def ste_backward(grad_w: np.ndarray, layer: QuantizedLayer) -> PlaneGradient:
             f"gradient shape {g.shape} does not match layer {(layer.rows, layer.cols)}"
         )
     factors = layer.step * np.exp2(np.arange(layer.bit_width, dtype=np.float64))
-    return PlaneGradient(factors[:, None, None] * g[None, :, :])
+    return factors[:, None, None] * g[None, :, :]
 
 
-def group_lasso(layer: QuantizedLayer) -> tuple[float, PlaneGradient]:
+def group_lasso(layer: QuantizedLayer) -> tuple[float, np.ndarray]:
     """Sum of per-plane l2 norms and its subgradient.
 
     For a binary plane the norm is sqrt(popcount); the subgradient of an
@@ -94,10 +79,10 @@ def group_lasso(layer: QuantizedLayer) -> tuple[float, PlaneGradient]:
     counts = planes.reshape(layer.bit_width, -1).sum(axis=1)
     norms = np.sqrt(counts)
     safe = np.where(norms > 0.0, norms, 1.0)
-    return float(norms.sum()), PlaneGradient(planes / safe[:, None, None])
+    return float(norms.sum()), planes / safe[:, None, None]
 
 
-def plane_update_powers(plane_grads: PlaneGradient, lr: float) -> np.ndarray:
+def plane_update_powers(plane_grads: np.ndarray, lr: float) -> np.ndarray:
     """Power q_i of the snapped per-plane step, -inf where the gradient is 0.
 
     q_i = 1 + round(log2(lr * |g_i|)). The significance factor 2^(i-1) that
@@ -106,7 +91,7 @@ def plane_update_powers(plane_grads: PlaneGradient, lr: float) -> np.ndarray:
     q_{i+1} = q_i + 1 exactly. The exponent arithmetic uses frexp, making
     that identity hold bit-exactly.
     """
-    mag = lr * np.abs(plane_grads.values)
+    mag = lr * np.abs(plane_grads)
     q = np.full(mag.shape, -np.inf)
     nz = mag > 0
     if nz.any():
@@ -116,7 +101,7 @@ def plane_update_powers(plane_grads: PlaneGradient, lr: float) -> np.ndarray:
 
 def fixed_point_delta(
     grad_w: np.ndarray,
-    plane_grads: PlaneGradient,
+    plane_grads: np.ndarray,
     ctx: UpdateContext,
     layer: QuantizedLayer,
 ) -> np.ndarray:
@@ -137,7 +122,7 @@ def fixed_point_delta(
     carried into the integer part so the Bernoulli probability stays in
     [0, 1). The magnitude never exceeds s.
     """
-    g = plane_grads.values
+    g = np.asarray(plane_grads, dtype=np.float64)
     b = layer.bit_width
     if g.shape != (b, layer.rows, layer.cols):
         raise ValueError(
@@ -148,7 +133,7 @@ def fixed_point_delta(
     if gw.shape != (layer.rows, layer.cols):
         raise ValueError("grad_w shape does not match the layer")
 
-    q = plane_update_powers(plane_grads, ctx.lr)
+    q = plane_update_powers(g, ctx.lr)
     finite = np.isfinite(q)
     any_grad = finite.any(axis=0)
     max_q = np.where(finite, q, -np.inf).max(axis=0)
@@ -179,8 +164,7 @@ def apply_update(layer: QuantizedLayer, delta: np.ndarray) -> QuantizedLayer:
     """Add a grid-aligned delta, clipping into the representable range.
 
     ``delta`` must be an integer number of grid steps per entry; anything
-    else is a contract violation. Scale and zero point are unchanged, the
-    planes are refreshed from the new codes.
+    else is a contract violation. Scale and bit width are unchanged.
     """
     d = np.asarray(delta, dtype=np.float64)
     if d.shape != (layer.rows, layer.cols):
@@ -189,7 +173,7 @@ def apply_update(layer: QuantizedLayer, delta: np.ndarray) -> QuantizedLayer:
     k = np.rint(ratio)
     if np.abs(ratio - k).max() > 1e-6:
         raise ValueError("delta is not an integer number of grid steps")
-    codes = layer.codes() + k.astype(np.int64)
+    codes = layer.codes + k.astype(np.int64)
     np.clip(codes, 0, (1 << layer.bit_width) - 1, out=codes)
     return QuantizedLayer.from_codes(codes, layer.scale, layer.bit_width)
 
@@ -224,9 +208,9 @@ def sgd_step(
         ctx.momentum_buffer = np.zeros((layer.rows, layer.cols))
     ctx.momentum_buffer = ctx.momentum * ctx.momentum_buffer + g
     combined = ctx.momentum_buffer
-    plane_g = ste_backward(combined, layer).values
+    plane_g = ste_backward(combined, layer)
     if lasso_coeff > 0.0:
         _, lasso = group_lasso(layer)
-        plane_g = plane_g + lasso_coeff * lasso.values
-    delta = fixed_point_delta(combined, PlaneGradient(plane_g), ctx, layer)
+        plane_g = plane_g + lasso_coeff * lasso
+    delta = fixed_point_delta(combined, plane_g, ctx, layer)
     return apply_update(layer, delta)

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmpq.checkpoint import (
     CheckpointError,
+    _parse_record,
     inspect_checkpoint,
     pack_layer_record,
     read_checkpoint,
+    record_bytes,
     write_checkpoint,
 )
 from fedmpq.quant import plane_density, quantize
+
+# A 7x5 4-bit layer: 35 entries leave 5 padding bits in each plane's last byte.
+RECORD = pack_layer_record(0, quantize(np.random.default_rng(11).normal(size=(7, 5)), 4))
 
 
 @pytest.fixture
@@ -27,6 +34,7 @@ def test_round_trip_is_byte_identical(tmp_path, layers):
     write_checkpoint(first, layers)
     write_checkpoint(second, read_checkpoint(first))
     assert first.read_bytes() == second.read_bytes()
+    assert len(first.read_bytes()) == sum(record_bytes(layer) for layer in layers)
 
 
 def test_round_trip_preserves_values(tmp_path, layers):
@@ -35,7 +43,7 @@ def test_round_trip_preserves_values(tmp_path, layers):
     for original, loaded in zip(layers, read_checkpoint(path)):
         assert loaded.bit_width == original.bit_width
         assert loaded.scale == original.scale
-        np.testing.assert_array_equal(loaded.codes(), original.codes())
+        np.testing.assert_array_equal(loaded.codes, original.codes)
 
 
 def test_bad_magic(tmp_path, layers):
@@ -74,6 +82,33 @@ def test_corrupt_zero_point(tmp_path, layers):
     path.write_bytes(bytes(record))
     with pytest.raises(CheckpointError, match="invalid layer"):
         read_checkpoint(path)
+
+
+def test_padding_bits_must_be_zero(tmp_path):
+    record = bytearray(RECORD)
+    record[-1] |= 0x80  # bit 39 of the top plane; the layer has 35 entries
+    path = tmp_path / "m.fmpq"
+    path.write_bytes(bytes(record))
+    with pytest.raises(CheckpointError, match="padding"):
+        read_checkpoint(path)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, len(RECORD) - 1), st.integers(0, 255)), max_size=6),
+    st.integers(0, len(RECORD)),
+)
+@settings(max_examples=1000)
+def test_corrupted_record_raises_only_checkpoint_error(edits, length):
+    data = bytearray(RECORD)
+    for position, value in edits:
+        data[position] = value
+    data = bytes(data[:length])
+    try:
+        index, layer, end = _parse_record(data, 0)
+    except CheckpointError:
+        return
+    # Whatever the parser accepts is a layer that writes back the same bytes.
+    assert pack_layer_record(index, layer) == data[:end]
 
 
 def test_empty_file(tmp_path):

@@ -248,11 +248,13 @@ class TestMalformedInputs:
         assert "\n" not in err and "Traceback" not in err
         return err
 
-    def run_with_partition(self, config_file, tmp_path, record) -> int:
+    def run_with_partition(self, config_file, tmp_path, record, extra=()) -> int:
         shards = tmp_path / "p.json"
         shards.write_text(json.dumps(record))
         out = tmp_path / "o"
-        return main(["run", str(config_file), "--out", str(out), "--partition", str(shards)])
+        return main(
+            ["run", str(config_file), "--out", str(out), "--partition", str(shards), *extra]
+        )
 
     def test_partition_without_shards_key(self, config_file, tmp_path, capsys):
         assert self.run_with_partition(config_file, tmp_path, {"clients": 1}) == 1
@@ -261,6 +263,28 @@ class TestMalformedInputs:
     def test_partition_index_out_of_range(self, config_file, tmp_path, capsys):
         assert self.run_with_partition(config_file, tmp_path, {"shards": [[0, 1, 99999]]}) == 1
         assert "outside the 120 training samples" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "shards, message",
+        [
+            ([[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]], "training sample 0 is in 2 shards"),
+            ([list(range(60)), list(range(61, 120))], "training sample 60 is in 0 shards"),
+        ],
+        ids=["overlap", "gap"],
+    )
+    def test_partition_must_split_the_samples(self, config_file, tmp_path, capsys, shards, message):
+        two_clients = ["--clients", "2", "--budgets", "8,8"]
+        assert self.run_with_partition(config_file, tmp_path, {"shards": shards}, two_clients) == 1
+        assert message in self.one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_diverged_run_names_round_and_client(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["run", str(config_file), "--out", str(out), "--rounds", "2", "--learning-rate", "1e100"]
+        assert main(args) == 1
+        assert "round 1, client 0: trained model is not finite" in self.one_line_error(capsys)
+        assert not (out / "metrics.csv").exists()
 
     def test_truncated_idx_header(self, tmp_path, capsys):
         idx = tmp_path / "six.idx"

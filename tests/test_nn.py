@@ -309,7 +309,7 @@ class TestLocalUpdate:
             )
             outs.append(trained)
         for a, b in zip(outs[0].layers, outs[1].layers):
-            np.testing.assert_array_equal(a.codes(), b.codes())
+            np.testing.assert_array_equal(a.codes, b.codes)
         for a, b in zip(outs[0].biases, outs[1].biases):
             np.testing.assert_array_equal(a, b)
 

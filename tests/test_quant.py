@@ -42,13 +42,22 @@ class TestDequantize:
 
 class TestLayerInvariants:
     def test_zero_point_is_forced(self):
-        packed = np.zeros((2, 1), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            QuantizedLayer(1, 2, 2, 1.0, 3, packed)
+        # The zero point follows from the width; no other value can be given or set.
+        layer = QuantizedLayer.from_codes(np.zeros((1, 2), dtype=int), 1.0, 2)
+        assert layer.zero_point == 2
+        with pytest.raises(TypeError):
+            QuantizedLayer(np.zeros((1, 2), dtype=np.uint8), 2, 1.0, 3)
+        with pytest.raises(AttributeError):
+            layer.zero_point = 3
 
     def test_bit_width_bounds(self):
         with pytest.raises(ValueError):
             QuantizedLayer.from_codes(np.zeros((1, 1), dtype=int), 1.0, 9)
+
+    @pytest.mark.parametrize("code, bits", [(4, 2), (-1, 8), (256, 8)])
+    def test_codes_must_fit_the_width(self, code, bits):
+        with pytest.raises(ValueError, match="out of range"):
+            QuantizedLayer.from_codes(np.full((1, 2), code), 1.0, bits)
 
     def test_plane_entries_are_binary(self):
         with pytest.raises(ValueError):
@@ -58,22 +67,17 @@ class TestLayerInvariants:
         with pytest.raises(ValueError):
             QuantizedLayer.from_codes(np.zeros((1, 1), dtype=int), 0.0, 2)
 
-    def test_padding_bits_must_be_zero(self):
-        packed = np.array([[0b1000]], dtype=np.uint8)  # bit 3 set, only 3 params
-        with pytest.raises(ValueError):
-            QuantizedLayer(1, 3, 1, 1.0, 1, packed)
-
     def test_planes_are_immutable(self):
         layer = quantize(np.ones((2, 2)), 4)
         with pytest.raises(ValueError):
-            layer.packed[0, 0] = 255
+            layer.codes[0, 0] = 15
 
 
 class TestQuantize:
     def test_all_zero_weights(self):
         layer = quantize(np.zeros((3, 4)), 4)
         assert layer.scale == 1.0
-        np.testing.assert_array_equal(layer.codes(), np.full((3, 4), 8))
+        np.testing.assert_array_equal(layer.codes, np.full((3, 4), 8))
         np.testing.assert_array_equal(dequantize(layer), np.zeros((3, 4)))
 
     def test_max_abs_policy_grid(self):
@@ -96,7 +100,7 @@ class TestQuantize:
         # codes 1 and 2 and must land on 2.
         w = np.array([[0.5, -1 / 12]])
         layer = quantize(w, 2, ScalePolicy.MAX_ABS)
-        assert layer.codes()[0, 1] == 2
+        assert layer.codes[0, 1] == 2
 
     @pytest.mark.parametrize("policy", list(ScalePolicy))
     @pytest.mark.parametrize("bits", [1, 2, 4, 8])

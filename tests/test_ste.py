@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedmpq.quant import QuantizedLayer, dequantize, plane_density, quantize
 from fedmpq.ste import (
-    PlaneGradient,
     UpdateContext,
     apply_update,
     fixed_point_delta,
@@ -29,7 +28,7 @@ def task_plane_grads(grad_w, layer):
     out = np.empty((layer.bit_width, *grad_w.shape))
     for i in range(1, layer.bit_width + 1):
         out[i - 1] = layer.scale * 2 ** (i - 1) / (2**layer.bit_width - 1) * grad_w
-    return PlaneGradient(out)
+    return out
 
 
 class TestPowerOfTwo:
@@ -65,20 +64,20 @@ class TestSteBackward:
     def test_zero_gradient(self):
         layer = quantize(np.random.default_rng(0).normal(size=(3, 3)), 4)
         grads = ste_backward(np.zeros((3, 3)), layer)
-        np.testing.assert_array_equal(grads.values, 0.0)
+        np.testing.assert_array_equal(grads, 0.0)
 
     def test_unit_entry_two_bits(self):
         layer = unit_step_layer()
         grad = np.array([[1.0]])
         grads = ste_backward(grad, layer)
-        assert grads.values[0, 0, 0] == 1.0
-        assert grads.values[1, 0, 0] == 2.0
+        assert grads[0, 0, 0] == 1.0
+        assert grads[1, 0, 0] == 2.0
 
     def test_plane_ratio_is_two(self):
         rng = np.random.default_rng(5)
         layer = quantize(rng.normal(size=(4, 4)), 5)
         g = rng.normal(size=(4, 4))
-        grads = ste_backward(g, layer).values
+        grads = ste_backward(g, layer)
         nz = g != 0
         for i in range(4):
             np.testing.assert_allclose(grads[i + 1][nz] / grads[i][nz], 2.0)
@@ -88,8 +87,8 @@ class TestSteBackward:
         for bits in (1, 3, 8):
             layer = quantize(rng.normal(size=(5, 6)), bits)
             g = rng.normal(size=(5, 6))
-            expected = task_plane_grads(g, layer).values
-            got = ste_backward(g, layer).values
+            expected = task_plane_grads(g, layer)
+            got = ste_backward(g, layer)
             assert np.abs(got - expected).max() <= 1e-12
 
     def test_shape_mismatch(self):
@@ -103,7 +102,7 @@ class TestGroupLasso:
         layer = QuantizedLayer.from_codes(np.zeros((3, 3), dtype=int), 1.0, 2)
         value, grads = group_lasso(layer)
         assert value == 0.0
-        np.testing.assert_array_equal(grads.values, 0.0)
+        np.testing.assert_array_equal(grads, 0.0)
 
     def test_four_ones(self):
         codes = np.zeros((2, 4), dtype=int)
@@ -111,8 +110,8 @@ class TestGroupLasso:
         layer = QuantizedLayer.from_codes(codes, 1.0, 1)
         value, grads = group_lasso(layer)
         assert value == pytest.approx(2.0)  # sqrt(4)
-        np.testing.assert_array_equal(grads.values[0, 0], 0.5)
-        np.testing.assert_array_equal(grads.values[0, 1], 0.0)
+        np.testing.assert_array_equal(grads[0, 0], 0.5)
+        np.testing.assert_array_equal(grads[0, 1], 0.0)
 
     def test_value_is_sum_of_sqrt_counts(self):
         rng = np.random.default_rng(2)
@@ -216,18 +215,18 @@ class TestApplyUpdate:
     def test_zero_delta_is_identity(self):
         layer = quantize(np.random.default_rng(1).normal(size=(3, 3)), 4)
         updated = apply_update(layer, np.zeros((3, 3)))
-        np.testing.assert_array_equal(updated.codes(), layer.codes())
+        np.testing.assert_array_equal(updated.codes, layer.codes)
 
     def test_clip_at_maximum(self):
         layer = unit_step_layer(code=3)  # already at the top of the range
         updated = apply_update(layer, np.array([[1.0]]))
-        assert updated.codes()[0, 0] == 3
+        assert updated.codes[0, 0] == 3
         assert dequantize(updated)[0, 0] == layer.max_value
 
     def test_single_step_updates_planes(self):
         layer = unit_step_layer(code=1)
         updated = apply_update(layer, np.array([[1.0]]))
-        assert updated.codes()[0, 0] == 2
+        assert updated.codes[0, 0] == 2
         planes = updated.planes()
         assert planes[0, 0, 0] == 0  # LSB
         assert planes[1, 0, 0] == 1  # MSB
@@ -255,14 +254,14 @@ class TestSgdStep:
         ctx_ref = UpdateContext(lr=0.5, momentum=0.0, weight_decay=0.0, rng=rng_b)
         delta = fixed_point_delta(g, ste_backward(g, layer), ctx_ref, layer)
         reference = apply_update(layer, delta)
-        np.testing.assert_array_equal(stepped.codes(), reference.codes())
+        np.testing.assert_array_equal(stepped.codes, reference.codes)
 
     def test_momentum_moves_on_zero_gradient(self):
         layer = quantize(np.random.default_rng(4).normal(size=(4, 4)), 3)
         ctx = UpdateContext(lr=0.5, momentum=0.9, weight_decay=0.0, rng=np.random.default_rng(0))
         ctx.momentum_buffer = np.full((4, 4), 10.0)
         stepped = sgd_step(layer, np.zeros((4, 4)), ctx, lasso_coeff=0.0)
-        assert (stepped.codes() != layer.codes()).any()
+        assert (stepped.codes != layer.codes).any()
 
     def test_lasso_only_reduces_plane_mass(self):
         # With no task gradient the regularizer should drain ones from the
@@ -283,5 +282,5 @@ class TestSgdStep:
         ctx = UpdateContext(lr=0.3, rng=np.random.default_rng(1))
         stepped = sgd_step(layer, rng.normal(size=(6, 6)), ctx, lasso_coeff=0.01)
         assert stepped.zero_point == 1 << (stepped.bit_width - 1)
-        assert stepped.codes().min() >= 0
-        assert stepped.codes().max() <= (1 << stepped.bit_width) - 1
+        assert stepped.codes.min() >= 0
+        assert stepped.codes.max() <= (1 << stepped.bit_width) - 1
