@@ -89,7 +89,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         shards = None
         if config.data.partition:
             shards = _load_partition_file(config.data.partition, config.clients)
-        metrics, _ = run_experiment(config, out_dir, shards, canonical)
+        # A diverging run is reported by the non-finite checks, as one line.
+        with np.errstate(all="ignore"):
+            metrics, _ = run_experiment(config, out_dir, shards, canonical)
     except (PartitionError, ValueError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

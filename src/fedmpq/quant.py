@@ -16,6 +16,9 @@ import numpy as np
 
 MAX_BITS = 8
 
+# Bit i of code c at [c, i], for every code of the widest layer.
+_CODE_BITS = (np.arange(1 << MAX_BITS)[:, None] >> np.arange(MAX_BITS)) & 1
+
 
 class ScalePolicy(str, Enum):
     """Rule used to derive the per-layer scale from the weight range.
@@ -99,6 +102,13 @@ class QuantizedLayer:
         """Binary planes, shape (bit_width, rows, cols), LSB plane first."""
         shifts = np.arange(self.bit_width, dtype=np.uint8)[:, None, None]
         return (self.codes >> shifts) & 1
+
+    def plane_counts(self) -> list[int]:
+        """Number of ones in each plane, LSB plane first, read off a histogram
+        of the codes rather than the planes themselves."""
+        n = 1 << self.bit_width
+        histogram = np.bincount(self.codes.ravel(), minlength=n)
+        return (histogram @ _CODE_BITS[:n, : self.bit_width]).tolist()
 
     @property
     def packed(self) -> np.ndarray:
@@ -196,8 +206,7 @@ class DensityProfile:
 
 
 def plane_density(layer: QuantizedLayer) -> DensityProfile:
-    counts = layer.planes().reshape(layer.bit_width, -1).sum(axis=1, dtype=np.int64)
-    return DensityProfile(tuple(int(c) for c in counts), layer.num_params)
+    return DensityProfile(tuple(layer.plane_counts()), layer.num_params)
 
 
 def prune_msbs(

@@ -355,25 +355,28 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         rng = np.random.default_rng([config.seed, _SALT_CLIENT, n, round_index])
         idx = state.shards[n]
         xs, ys = state.dataset.train_x[idx], state.dataset.train_y[idx]
-        if arm.quantized:
-            layers = binary_representation(state.global_weights, widths, config.train.scale_policy)
-            trained, _ = local_update(
-                QuantizedModel(state.spec, layers, state.global_biases),
-                xs,
-                ys,
-                train_cfg,
-                rng,
-                use_lasso=arm.use_lasso,
-                use_msb_pruning=arm.use_msb_pruning,
-            )
-            layers = trained.layers
-        else:
-            model = DenseModel(state.spec, state.global_weights, state.global_biases)
-            trained = local_update_dense(model, xs, ys, train_cfg, rng)
-            layers = trained.weights
-        trained_arrays = list(trained.biases) + ([] if arm.quantized else list(layers))
-        if not all(np.isfinite(a).all() for a in trained_arrays):
-            raise ValueError(f"round {round_index}, client {n}: trained model is not finite")
+        try:
+            if arm.quantized:
+                layers = binary_representation(state.global_weights, widths, config.train.scale_policy)
+                trained, _ = local_update(
+                    QuantizedModel(state.spec, layers, state.global_biases),
+                    xs,
+                    ys,
+                    train_cfg,
+                    rng,
+                    use_lasso=arm.use_lasso,
+                    use_msb_pruning=arm.use_msb_pruning,
+                )
+                layers = trained.layers
+            else:
+                model = DenseModel(state.spec, state.global_weights, state.global_biases)
+                trained = local_update_dense(model, xs, ys, train_cfg, rng)
+                layers = trained.weights
+            trained_arrays = list(trained.biases) + ([] if arm.quantized else list(layers))
+            if not all(np.isfinite(a).all() for a in trained_arrays):
+                raise ValueError("trained model is not finite")
+        except ValueError as exc:
+            raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
         update = ClientUpdate(
             client_id=n,
             layers=tuple(layers),

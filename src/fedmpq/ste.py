@@ -32,10 +32,14 @@ def power_of_two(x: float) -> float:
     return math.ldexp(1.0, e - (m < _SQRT_HALF))
 
 
-def _nearest_pow2_exponent(x: np.ndarray) -> np.ndarray:
-    """round(log2(x)) for strictly positive x, computed exactly via frexp."""
-    m, e = np.frexp(x)
-    return e - (m < _SQRT_HALF)
+# Nearest power of two of |x| for a normal float64 x, done on its bits. A
+# mantissa field at or above that of 2 * sqrt(1/2) (a frexp mantissa of at
+# least sqrt(1/2)) rounds the exponent up, so adding the distance from there
+# to 2^52 carries into the exponent exactly then; keeping only the exponent
+# field then drops the mantissa and the sign. Zeros map to +0.
+_MANTISSA = (1 << 52) - 1
+_ROUND_UP = np.int64((1 << 52) - (int(np.float64(2 * _SQRT_HALF).view(np.int64)) & _MANTISSA))
+_EXPONENT = np.int64(0x7FF << 52)
 
 
 @dataclass
@@ -75,28 +79,41 @@ def group_lasso(layer: QuantizedLayer) -> tuple[float, np.ndarray]:
     For a binary plane the norm is sqrt(popcount); the subgradient of an
     all-zero plane is taken to be zero.
     """
-    planes = layer.planes().astype(np.float64)
-    counts = planes.reshape(layer.bit_width, -1).sum(axis=1)
-    norms = np.sqrt(counts)
+    norms = np.sqrt(layer.plane_counts())
     safe = np.where(norms > 0.0, norms, 1.0)
-    return float(norms.sum()), planes / safe[:, None, None]
+    subgradient = layer.planes().astype(np.float64)
+    # Plane entries are 0 or 1, so scaling by 1/norm equals dividing by it.
+    subgradient *= (1.0 / safe)[:, None, None]
+    return float(norms.sum()), subgradient
+
+
+def plane_steps(plane_grads: np.ndarray, lr: float) -> np.ndarray:
+    """Snapped per-plane step 2^(q_i - 1) in grid steps, 0 where the gradient is 0.
+
+    That is the power of two nearest to lr * |g_i| (see plane_update_powers),
+    taken on the float bits, so every step is exact. It agrees with rounding
+    the frexp exponent wherever lr * |g_i| is a normal float; below 2^-1022
+    the step is 0 or 2^-1022.
+    """
+    # |g| * lr and |g * lr| round alike.
+    steps = np.asarray(plane_grads, dtype=np.float64) * lr
+    bits = steps.view(np.int64)
+    bits += _ROUND_UP
+    bits &= _EXPONENT
+    return steps
 
 
 def plane_update_powers(plane_grads: np.ndarray, lr: float) -> np.ndarray:
     """Power q_i of the snapped per-plane step, -inf where the gradient is 0.
 
-    q_i = 1 + round(log2(lr * |g_i|)). The significance factor 2^(i-1) that
+    q_i = 1 + round(log2(lr * |g_i|)), rounding at a frexp mantissa of
+    sqrt(1/2) with ties up. The significance factor 2^(i-1) that
     ste_backward bakes into plane i is kept, not divided out, so planes that
     share one weight-space gradient land on consecutive powers:
-    q_{i+1} = q_i + 1 exactly. The exponent arithmetic uses frexp, making
-    that identity hold bit-exactly.
+    q_{i+1} = q_i + 1 exactly.
     """
-    mag = lr * np.abs(plane_grads)
-    q = np.full(mag.shape, -np.inf)
-    nz = mag > 0
-    if nz.any():
-        q[nz] = 1.0 + _nearest_pow2_exponent(mag[nz])
-    return q
+    with np.errstate(divide="ignore"):
+        return 1.0 + np.log2(plane_steps(plane_grads, lr))
 
 
 def fixed_point_delta(
@@ -133,48 +150,46 @@ def fixed_point_delta(
     if gw.shape != (layer.rows, layer.cols):
         raise ValueError("grad_w shape does not match the layer")
 
-    q = plane_update_powers(g, ctx.lr)
-    finite = np.isfinite(q)
-    any_grad = finite.any(axis=0)
-    max_q = np.where(finite, q, -np.inf).max(axis=0)
-    clip_hit = any_grad & (max_q > b)
+    work = plane_steps(g, ctx.lr)
+    whole = work >= 1.0
+    steps = np.add.reduce(work, axis=0, where=whole)
+    p = np.add.reduce(work, axis=0, where=~whole)
 
+    # The steps are summed, so their buffer takes the weighted gradients: a
+    # fresh full-size array per call costs more in page faults than in math.
     significance = np.exp2(np.arange(b, dtype=np.float64))[:, None, None]
-    nu = np.sign((significance * g).sum(axis=0))
+    nu = np.sign(np.multiply(significance, g, out=work).sum(axis=0))
     nu = np.where(nu == 0.0, np.sign(gw), nu)
 
-    live = finite & ~clip_hit[None, :, :]
-    whole = live & (q >= 1.0)
-    frac = live & (q <= 0.0)
-    steps = np.where(whole, np.exp2(np.where(whole, q, 1.0) - 1.0), 0.0).sum(axis=0)
-    p = np.where(frac, np.exp2(np.where(frac, q, 0.0) - 1.0), 0.0).sum(axis=0)
     carry = np.floor(p)
-    p = p - carry
-    steps = steps + carry
-
-    draw = ctx.rng.random(p.shape)
-    steps = steps + (draw < p)
-    cap = float((1 << b) - 1)
-    steps = np.minimum(steps, cap)
-    steps = np.where(clip_hit, cap, steps)
+    p -= carry
+    steps += carry
+    steps += ctx.rng.random(p.shape) < p
+    # q_i > b means a plane step of at least 2^b, so saturating entries
+    # already sum past the cap.
+    np.minimum(steps, (1 << b) - 1, out=steps)
     return -nu * layer.step * steps
 
 
 def apply_update(layer: QuantizedLayer, delta: np.ndarray) -> QuantizedLayer:
     """Add a grid-aligned delta, clipping into the representable range.
 
-    ``delta`` must be an integer number of grid steps per entry; anything
-    else is a contract violation. Scale and bit width are unchanged.
+    ``delta`` must be a finite, integer number of grid steps per entry;
+    anything else raises ValueError. Scale and bit width are unchanged.
     """
     d = np.asarray(delta, dtype=np.float64)
     if d.shape != (layer.rows, layer.cols):
         raise ValueError("delta shape does not match the layer")
     ratio = d / layer.step
     k = np.rint(ratio)
-    if np.abs(ratio - k).max() > 1e-6:
-        raise ValueError("delta is not an integer number of grid steps")
-    codes = layer.codes + k.astype(np.int64)
-    np.clip(codes, 0, (1 << layer.bit_width) - 1, out=codes)
+    # Written so that NaN fails it too.
+    if not np.abs(ratio - k).max() <= 1e-6:
+        raise ValueError("delta is not a finite integer number of grid steps")
+    # Whole numbers stay exact in float64; np.clip's Python wrapper costs
+    # more here than the two ufuncs.
+    codes = np.add(k, layer.codes, out=k)
+    np.maximum(codes, 0.0, out=codes)
+    np.minimum(codes, (1 << layer.bit_width) - 1, out=codes)
     return QuantizedLayer.from_codes(codes, layer.scale, layer.bit_width)
 
 
@@ -211,6 +226,7 @@ def sgd_step(
     plane_g = ste_backward(combined, layer)
     if lasso_coeff > 0.0:
         _, lasso = group_lasso(layer)
-        plane_g = plane_g + lasso_coeff * lasso
+        lasso *= lasso_coeff
+        plane_g += lasso
     delta = fixed_point_delta(combined, plane_g, ctx, layer)
     return apply_update(layer, delta)

@@ -219,6 +219,7 @@ def test_criterion_07_reduction_equivalence():
     report(7, "degenerate pipeline is trajectory-identical to the fixed-budget arm")
 
 
+@pytest.mark.slow
 def test_criterion_08_sparsity_effect():
     def prunable(lam, seed):
         config = _benchmark_config(
@@ -280,6 +281,7 @@ def ordering_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_09_ordering(ordering_results):
     medians = {name: float(np.median(accs)) for name, accs in ordering_results.items()}
     fedmpq = medians["fedmpq"]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from fedmpq.config import (
 )
 from fedmpq.quant import plane_density, quantize
 from fedmpq.simulation import ExperimentConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MINIMAL = """
 [experiment]
@@ -285,6 +291,17 @@ class TestMalformedInputs:
         assert main(args) == 1
         assert "round 1, client 0: trained model is not finite" in self.one_line_error(capsys)
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("algorithm", ["fp32", "fedmpq"])
+    def test_diverged_run_prints_only_the_failure(self, config_file, tmp_path, algorithm):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "fedmpq.cli", "run", str(config_file), "--out", str(tmp_path / "o"),
+                   "--algorithm", algorithm, "--rounds", "2", "--learning-rate", "1e100"]
+        proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("run failed: round 1, client 0: ")
 
     def test_truncated_idx_header(self, tmp_path, capsys):
         idx = tmp_path / "six.idx"

@@ -236,6 +236,13 @@ class TestApplyUpdate:
         with pytest.raises(ValueError, match="grid"):
             apply_update(layer, np.array([[0.5]]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, bad):
+        layer = quantize(np.array([[0.5, -0.2]]), 4)  # codes [[15, 5]]
+        with pytest.raises(ValueError, match="finite"):
+            apply_update(layer, np.array([[bad, 0.0]]))
+
     def test_scale_and_zero_point_preserved(self):
         layer = unit_step_layer()
         updated = apply_update(layer, np.array([[-1.0]]))
@@ -255,6 +262,12 @@ class TestSgdStep:
         delta = fixed_point_delta(g, ste_backward(g, layer), ctx_ref, layer)
         reference = apply_update(layer, delta)
         np.testing.assert_array_equal(stepped.codes, reference.codes)
+
+    def test_nan_gradient_rejected(self):
+        layer = quantize(np.array([[0.5, -0.2]]), 4)
+        ctx = UpdateContext(lr=0.5, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            sgd_step(layer, np.array([[np.nan, 1.0]]), ctx, lasso_coeff=0.01)
 
     def test_momentum_moves_on_zero_gradient(self):
         layer = quantize(np.random.default_rng(4).normal(size=(4, 4)), 3)
