@@ -21,10 +21,9 @@ from .ste import (
     ste_backward,
 )
 from .nn import (
-    DenseModel,
+    Model,
     ModelConfig,
     ModelSpec,
-    QuantizedModel,
     TrainConfig,
     evaluate,
     local_objective,
@@ -33,7 +32,6 @@ from .nn import (
 from .server import (
     BudgetLedger,
     ClientUpdate,
-    GlobalModel,
     aggregate,
     binary_representation,
     convert_to_fp,

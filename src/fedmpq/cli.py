@@ -17,7 +17,6 @@ from .config import OVERRIDE_KEYS, ConfigError, parse_config, serialize_config
 from .data import load_dataset
 from .simulation import PartitionError, dirichlet_partition, run_experiment
 
-logger = logging.getLogger(__name__)
 
 OUTPUT_ROOT_ENV = "FEDMPQ_OUTPUT_ROOT"
 

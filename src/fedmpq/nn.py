@@ -1,9 +1,10 @@
-"""Small quantized networks and the client-side training loop.
+"""Small networks and the client-side training loop.
 
 Architectures are dense MLPs or a few valid-padding convolutions followed
-by a dense classifier. Weight matrices live on the fixed-point grid; biases
-stay full precision. Hidden activations pass through ReLU and an optional
-unsigned activation grid; the logits layer is excluded from both.
+by a dense classifier. Each weight matrix lives on the fixed-point grid or
+in full precision; biases always stay full precision. Hidden activations
+pass through ReLU and an optional unsigned activation grid; the logits
+layer is excluded from both.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .quant import (
     quantize,
     quantize_activations,
     shift_add_matmul,
+    wire_bits,
 )
 from .ste import UpdateContext, group_lasso, sgd_step
 
@@ -129,21 +131,20 @@ def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...], num_classes
 
 
 @dataclass
-class QuantizedModel:
+class Model:
+    """A network whose weights are each a QuantizedLayer or a real matrix.
+
+    Clients train the grid form at their delivered widths; the server
+    aggregates and evaluates the real form.
+    """
+
     spec: ModelSpec
-    layers: list[QuantizedLayer]
+    layers: list[QuantizedLayer | np.ndarray]
     biases: list[np.ndarray]
 
     @property
     def bit_widths(self) -> tuple[int, ...]:
-        return tuple(l.bit_width for l in self.layers)
-
-
-@dataclass
-class DenseModel:
-    spec: ModelSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+        return tuple(wire_bits(l) for l in self.layers)
 
 
 @dataclass(frozen=True)
@@ -171,22 +172,22 @@ class TrainConfig:
             raise ValueError("prune_threshold must lie in [0, 1]")
 
 
-def init_dense_model(spec: ModelSpec, rng: np.random.Generator) -> DenseModel:
+def init_dense_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
     weights, biases = [], []
     for layer in spec.layers:
         fan_in = layer.weight_shape[1]
         weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), layer.weight_shape))
         biases.append(np.zeros(layer.weight_shape[0]))
-    return DenseModel(spec, weights, biases)
+    return Model(spec, weights, biases)
 
 
 def quantize_model(
-    dense: DenseModel,
+    dense: Model,
     bit_widths,
     policy: ScalePolicy = ScalePolicy.RANGE_COVERING,
-) -> QuantizedModel:
-    layers = [quantize(w, int(b), policy) for w, b in zip(dense.weights, bit_widths)]
-    return QuantizedModel(dense.spec, layers, [b.copy() for b in dense.biases])
+) -> Model:
+    layers = [quantize(w, int(b), policy) for w, b in zip(dense.layers, bit_widths)]
+    return Model(dense.spec, layers, [b.copy() for b in dense.biases])
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -212,56 +213,52 @@ def _col2im(dpatches: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarra
 class ForwardCache:
     spec: ModelSpec
     weights: list[np.ndarray]
-    inputs: list
+    inputs: list[tuple[np.ndarray, tuple[int, ...]]]  # (matmul rows, layer input shape)
     preacts: list[np.ndarray]
 
 
 def forward(
-    model: QuantizedModel | DenseModel,
+    model: Model,
     x: np.ndarray,
     act_bits: int | None = 4,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Logits and a backward cache for a batch.
 
-    Quantized models multiply through the bit planes; dense models use a
-    plain matmul. Hidden layers apply ReLU and, when ``act_bits`` is set,
-    snap the result onto the unsigned activation grid. The logits layer
-    gets neither.
+    Quantized layers multiply through the bit planes, real ones use a plain
+    matmul. A conv layer multiplies its im2col patches. Hidden layers apply
+    ReLU and, when ``act_bits`` is set, snap the result onto the unsigned
+    activation grid. The logits layer gets neither.
     """
-    quantized = isinstance(model, QuantizedModel)
-    weights = [dequantize(l) for l in model.layers] if quantized else model.weights
+    weights = [dequantize(l) for l in model.layers]
     spec = model.spec
     a = np.asarray(x, dtype=np.float64)
     inputs: list = []
     preacts: list[np.ndarray] = []
     last = len(spec.layers) - 1
-    for idx, layer_spec in enumerate(spec.layers):
-        if isinstance(layer_spec, DenseSpec):
+    for idx, (layer_spec, layer) in enumerate(zip(spec.layers, model.layers, strict=True)):
+        conv = isinstance(layer_spec, Conv2dSpec)
+        if conv:
+            if a.ndim != 4 or a.shape[1] != layer_spec.in_channels:
+                raise ValueError(f"layer {idx}: expected {layer_spec.in_channels}-channel images")
+            rows = _im2col(a, layer_spec.kernel_size)
+        else:
             if a.ndim > 2:
                 a = a.reshape(len(a), -1)
             if a.ndim != 2 or a.shape[1] != layer_spec.in_features:
                 raise ValueError(
                     f"layer {idx}: expected {layer_spec.in_features} features, got {a.shape}"
                 )
-            inputs.append(a)
-            if quantized:
-                z = shift_add_matmul(a.T, model.layers[idx]).T
-            else:
-                z = a @ weights[idx].T
-            z = z + model.biases[idx]
+            rows = a
+        inputs.append((rows, a.shape))
+        if isinstance(layer, QuantizedLayer):
+            z = shift_add_matmul(rows.T, layer).T
         else:
-            if a.ndim != 4 or a.shape[1] != layer_spec.in_channels:
-                raise ValueError(f"layer {idx}: expected {layer_spec.in_channels}-channel images")
-            patches = _im2col(a, layer_spec.kernel_size)
-            inputs.append((patches, a.shape))
-            if quantized:
-                zf = shift_add_matmul(patches.T, model.layers[idx]).T
-            else:
-                zf = patches @ weights[idx].T
-            zf = zf + model.biases[idx]
+            z = rows @ layer.T
+        z = z + model.biases[idx]
+        if conv:
             oh = a.shape[2] - layer_spec.kernel_size + 1
             ow = a.shape[3] - layer_spec.kernel_size + 1
-            z = zf.reshape(len(a), oh, ow, layer_spec.out_channels).transpose(0, 3, 1, 2)
+            z = z.reshape(len(a), oh, ow, layer_spec.out_channels).transpose(0, 3, 1, 2)
         preacts.append(z)
         if idx < last:
             a = np.maximum(z, 0.0)
@@ -296,17 +293,15 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> tuple[list[np.ndarray]
     delta = dlogits
     for idx in range(n - 1, -1, -1):
         spec = specs[idx]
-        if isinstance(spec, DenseSpec):
-            x_in = cache.inputs[idx]
-            grads_w[idx] = delta.T @ x_in
-            grads_b[idx] = delta.sum(axis=0)
-            da = delta @ cache.weights[idx]
-        else:
-            patches, x_shape = cache.inputs[idx]
-            deltaf = delta.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels)
-            grads_w[idx] = deltaf.T @ patches
-            grads_b[idx] = deltaf.sum(axis=0)
-            da = _col2im(deltaf @ cache.weights[idx], x_shape, spec.kernel_size)
+        conv = isinstance(spec, Conv2dSpec)
+        rows, x_shape = cache.inputs[idx]
+        if conv:
+            delta = delta.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels)
+        grads_w[idx] = delta.T @ rows
+        grads_b[idx] = delta.sum(axis=0)
+        da = delta @ cache.weights[idx]
+        if conv:
+            da = _col2im(da, x_shape, spec.kernel_size)
         if idx > 0:
             z_prev = cache.preacts[idx - 1]
             delta = da.reshape(z_prev.shape) * (z_prev > 0.0)
@@ -314,7 +309,7 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> tuple[list[np.ndarray]
 
 
 def local_objective(
-    model: QuantizedModel,
+    model: Model,
     features: np.ndarray,
     labels: np.ndarray,
     lasso_coeff: float,
@@ -344,33 +339,31 @@ def _momentum_sgd(cfg: TrainConfig, params: list[np.ndarray]):
     return step
 
 
-def _train(model, params: list, features, labels, cfg: TrainConfig, rng, act_bits, weight_step):
+def _train(model: Model, features, labels, cfg: TrainConfig, rng, act_bits, weight_step) -> Model:
     """Epochs of shuffled minibatches, the one client loop of every arm.
 
-    ``weight_step(l, param, grad)`` returns layer l's weight moved by its
-    task gradient; ``param`` is a QuantizedLayer or a real matrix, matching
+    ``weight_step(l, layer, grad)`` returns layer l moved by its task
+    gradient; the layer is a QuantizedLayer or a real matrix, as in
     ``model``. Biases always take a full-precision momentum-SGD step.
     """
-    params = list(params)
-    biases = [b.copy() for b in model.biases]
-    bias_step = _momentum_sgd(cfg, biases)
+    work = Model(model.spec, list(model.layers), [b.copy() for b in model.biases])
+    bias_step = _momentum_sgd(cfg, work.biases)
     n = len(labels)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            work = type(model)(model.spec, params, biases)
             logits, cache = forward(work, features[sel], act_bits)
             _, dlogits = softmax_cross_entropy(logits, labels[sel])
             grads_w, grads_b = backward(cache, dlogits)
-            for l in range(len(params)):
-                params[l] = weight_step(l, params[l], grads_w[l])
-                biases[l] = bias_step(l, biases[l], grads_b[l])
-    return params, biases
+            for l in range(len(work.layers)):
+                work.layers[l] = weight_step(l, work.layers[l], grads_w[l])
+                work.biases[l] = bias_step(l, work.biases[l], grads_b[l])
+    return work
 
 
 def local_update(
-    model: QuantizedModel,
+    model: Model,
     features: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
@@ -378,16 +371,16 @@ def local_update(
     *,
     use_lasso: bool = True,
     use_msb_pruning: bool = True,
-) -> tuple[QuantizedModel, tuple[int, ...]]:
+) -> Model:
     """Client-side training on the grid: snapped steps, then MSB pruning.
 
     Each layer's Lasso weight is lasso_coeff * M_l / M. Bit widths can only
-    shrink; the returned vector reflects any planes dropped at the end.
-    An empty shard leaves the model untouched.
+    shrink; the returned model's widths reflect any planes dropped at the
+    end. An empty shard leaves the model untouched.
     """
     if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
-        return model, model.bit_widths
+        return model
     spec = model.spec
     ctxs = [
         UpdateContext(cfg.learning_rate, cfg.momentum, cfg.weight_decay, None, rng)
@@ -399,33 +392,30 @@ def local_update(
     def snapped(l: int, layer: QuantizedLayer, grad: np.ndarray) -> QuantizedLayer:
         return sgd_step(layer, grad, ctxs[l], lams[l])
 
-    layers, biases = _train(
-        model, model.layers, features, labels, cfg, rng, cfg.activation_bits, snapped
-    )
+    trained = _train(model, features, labels, cfg, rng, cfg.activation_bits, snapped)
     if use_msb_pruning:
-        layers = [prune_msbs(layer, cfg.prune_threshold, cfg.scale_policy)[0] for layer in layers]
-    trained = QuantizedModel(spec, layers, biases)
-    return trained, trained.bit_widths
+        trained.layers = [
+            prune_msbs(layer, cfg.prune_threshold, cfg.scale_policy)[0] for layer in trained.layers
+        ]
+    return trained
 
 
 def local_update_dense(
-    model: DenseModel,
+    model: Model,
     features: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
-) -> DenseModel:
+) -> Model:
     """Full-precision counterpart of local_update: plain momentum SGD."""
     if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
         return model
-    weight_step = _momentum_sgd(cfg, model.weights)
-    weights, biases = _train(model, model.weights, features, labels, cfg, rng, None, weight_step)
-    return DenseModel(model.spec, weights, biases)
+    return _train(model, features, labels, cfg, rng, None, _momentum_sgd(cfg, model.layers))
 
 
 def evaluate(
-    model: QuantizedModel | DenseModel,
+    model: Model,
     features: np.ndarray,
     labels: np.ndarray,
     act_bits: int | None = None,

@@ -140,9 +140,19 @@ class QuantizedLayer:
         return cls(codes.astype(np.uint8), bit_width, float(scale))
 
 
-def dequantize(layer: QuantizedLayer) -> np.ndarray:
-    """Real-valued weights, s / (2^b - 1) * (code - z) per entry."""
-    return layer.values()
+FP_WIRE_BITS = 32  # real matrices and biases travel as 32-bit floats
+
+
+def dequantize(layer: QuantizedLayer | np.ndarray) -> np.ndarray:
+    """Real weights of either kind of layer: s / (2^b - 1) * (code - z) per
+    entry of a quantized layer, a real matrix as it is."""
+    return layer.values() if isinstance(layer, QuantizedLayer) else layer
+
+
+def wire_bits(layer: QuantizedLayer | np.ndarray) -> int:
+    """Bits per weight of either kind of layer: the grid width, or 32 for a
+    real matrix."""
+    return layer.bit_width if isinstance(layer, QuantizedLayer) else FP_WIRE_BITS
 
 
 def quantize(

@@ -10,22 +10,11 @@ to its budget by the greedy pruning-growing policy.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quant import MAX_BITS, QuantizedLayer, ScalePolicy, dequantize, quantize
-
-logger = logging.getLogger(__name__)
-
-
-FP_WIRE_BITS = 32  # real matrices and biases travel as 32-bit floats
-
-
-def wire_bits(layer: QuantizedLayer | np.ndarray) -> int:
-    """Bits per uploaded weight: the grid width, or 32 for a real matrix."""
-    return layer.bit_width if isinstance(layer, QuantizedLayer) else FP_WIRE_BITS
+from .quant import MAX_BITS, QuantizedLayer, ScalePolicy, dequantize, quantize, wire_bits
 
 
 def check_width_budget(client_id: int, bit_widths, param_counts, budget: float, what: str) -> None:
@@ -61,16 +50,6 @@ class ClientUpdate:
 
 
 @dataclass
-class GlobalModel:
-    """Full-precision aggregate plus the fractional bit-width vector."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    bit_widths: np.ndarray
-    round_index: int
-
-
-@dataclass
 class BudgetLedger:
     """Per-client record of how much local training shrank each layer."""
 
@@ -88,7 +67,7 @@ class BudgetLedger:
 
 def convert_to_fp(update: ClientUpdate) -> list[np.ndarray]:
     """De-quantize every uploaded layer into real matrices."""
-    return [dequantize(l) if isinstance(l, QuantizedLayer) else l for l in update.layers]
+    return [dequantize(l) for l in update.layers]
 
 
 def aggregation_weights(updates: list[ClientUpdate]) -> np.ndarray:
@@ -100,8 +79,11 @@ def aggregation_weights(updates: list[ClientUpdate]) -> np.ndarray:
     return mass / total
 
 
-def aggregate(updates: list[ClientUpdate], round_index: int = 0) -> GlobalModel:
-    """Weighted average of de-quantized uploads, bit widths, and biases.
+def aggregate(
+    updates: list[ClientUpdate],
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Weighted averages of the de-quantized uploads, the biases and the
+    per-layer bit widths, the last a fractional vector.
 
     Updates are sorted by client id first so the result does not depend on
     arrival order.
@@ -120,7 +102,7 @@ def aggregate(updates: list[ClientUpdate], round_index: int = 0) -> GlobalModel:
             weights[l] += p_n * fp[l]
             biases[l] += p_n * u.biases[l]
         bits += p_n * np.asarray(u.bit_widths, dtype=np.float64)
-    return GlobalModel(weights, biases, bits, round_index)
+    return weights, biases, bits
 
 
 def round_bitwidths(bits) -> np.ndarray:

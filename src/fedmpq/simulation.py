@@ -23,10 +23,9 @@ import numpy as np
 from .checkpoint import record_bytes, write_checkpoint
 from .data import DataConfig, Dataset, load_dataset
 from .nn import (
-    DenseModel,
+    Model,
     ModelConfig,
     ModelSpec,
-    QuantizedModel,
     TrainConfig,
     build_model_spec,
     evaluate,
@@ -34,9 +33,8 @@ from .nn import (
     local_update,
     local_update_dense,
 )
-from .quant import QuantizedLayer, plane_density, prune_msbs
+from .quant import FP_WIRE_BITS, QuantizedLayer, plane_density, prune_msbs
 from .server import (
-    FP_WIRE_BITS,
     BudgetLedger,
     ClientUpdate,
     aggregate,
@@ -44,7 +42,6 @@ from .server import (
     check_width_budget,
     pruning_growing,
     round_bitwidths,
-    wire_bits,
 )
 
 logger = logging.getLogger(__name__)
@@ -238,7 +235,7 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
         spec=spec,
         dataset=dataset,
         shards=shards,
-        global_weights=dense.weights,
+        global_weights=dense.layers,
         global_biases=dense.biases,
         global_bits=None,
         delivered_bits={},
@@ -306,7 +303,7 @@ def _global_densities(state: SimState) -> tuple[tuple[float, ...], ...]:
 
 
 def _evaluate_global(state: SimState) -> tuple[float, float]:
-    model = DenseModel(state.spec, state.global_weights, state.global_biases)
+    model = Model(state.spec, state.global_weights, state.global_biases)
     return evaluate(model, state.dataset.test_x, state.dataset.test_y, act_bits=None)
 
 
@@ -358,8 +355,8 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         try:
             if arm.quantized:
                 layers = binary_representation(state.global_weights, widths, config.train.scale_policy)
-                trained, _ = local_update(
-                    QuantizedModel(state.spec, layers, state.global_biases),
+                trained = local_update(
+                    Model(state.spec, layers, state.global_biases),
                     xs,
                     ys,
                     train_cfg,
@@ -367,21 +364,19 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
                     use_lasso=arm.use_lasso,
                     use_msb_pruning=arm.use_msb_pruning,
                 )
-                layers = trained.layers
             else:
-                model = DenseModel(state.spec, state.global_weights, state.global_biases)
+                model = Model(state.spec, state.global_weights, state.global_biases)
                 trained = local_update_dense(model, xs, ys, train_cfg, rng)
-                layers = trained.weights
-            trained_arrays = list(trained.biases) + ([] if arm.quantized else list(layers))
+            trained_arrays = list(trained.biases) + ([] if arm.quantized else trained.layers)
             if not all(np.isfinite(a).all() for a in trained_arrays):
                 raise ValueError("trained model is not finite")
         except ValueError as exc:
             raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
         update = ClientUpdate(
             client_id=n,
-            layers=tuple(layers),
+            layers=tuple(trained.layers),
             biases=tuple(trained.biases),
-            bit_widths=tuple(wire_bits(l) for l in layers),
+            bit_widths=trained.bit_widths,
             num_samples=len(ys),
             budget=float(config.budgets[n]),
         )
@@ -392,11 +387,9 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         state.last_updates[n] = update
         updates.append(update)
 
-    new_global = aggregate(updates, round_index)
-    state.global_weights = new_global.weights
-    state.global_biases = new_global.biases
+    state.global_weights, state.global_biases, bits = aggregate(updates)
     if arm.quantized:
-        state.global_bits = new_global.bit_widths
+        state.global_bits = bits
     state.round_index = round_index
     return _round_metrics(state, arm, round_index, uploaded, started)
 

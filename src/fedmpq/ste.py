@@ -207,6 +207,7 @@ def sgd_step(
     there, and the combined plane gradients drive the snapped update.
     With lasso_coeff 0, momentum 0, and weight decay 0 this reduces to
     fixed_point_delta followed by apply_update on the task gradient alone.
+    A non-finite task gradient raises ValueError and leaves ctx untouched.
 
     ctx.lr is a plane-space rate, not a weight-space one: for a buffered
     gradient m, a range s and a grid step s / (2^b - 1), an entry moves by
@@ -217,6 +218,8 @@ def sgd_step(
     if lasso_coeff < 0:
         raise ValueError("lasso_coeff must be non-negative")
     g = np.asarray(grad_w_task, dtype=np.float64)
+    if not np.isfinite(g).all():
+        raise ValueError("task gradient is not finite")
     if ctx.weight_decay:
         g = g + ctx.weight_decay * layer.values()
     if ctx.momentum_buffer is None:

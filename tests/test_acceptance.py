@@ -17,8 +17,8 @@ from fedmpq.checkpoint import inspect_checkpoint, read_checkpoint, write_checkpo
 from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import (
-    DenseModel,
     DenseSpec,
+    Model,
     ModelConfig,
     ModelSpec,
     TrainConfig,
@@ -141,7 +141,7 @@ def test_criterion_05_gradient_check():
     spec = ModelSpec((DenseSpec(6, 5), DenseSpec(5, 3)), (6,), 3)
     dense = init_dense_model(spec, rng)
     qmodel = quantize_model(dense, (7, 7))
-    work = DenseModel(spec, [dequantize(l) for l in qmodel.layers], qmodel.biases)
+    work = Model(spec, [dequantize(l) for l in qmodel.layers], qmodel.biases)
     x = rng.normal(size=(8, 6))
     y = rng.integers(0, 3, size=8)
     logits, cache = forward(work, x, None)
@@ -150,7 +150,7 @@ def test_criterion_05_gradient_check():
 
     step = 1e-3
     worst = 0.0
-    for l, w in enumerate(work.weights):
+    for l, w in enumerate(work.layers):
         for idx in np.ndindex(w.shape):
             saved = w[idx]
             w[idx] = saved + step

@@ -2,8 +2,9 @@
 
 The benchmark's own configs and golden files (bench/workloads.py,
 bench/golden/) are only read here. Two further shapes of the round loop
-have their goldens in tests/golden/: all three deterministic outputs of a
-3-round run at seed 1.
+have their goldens in tests/golden/, and so has the fp32 arm at the
+weight-space rate 0.05 (at the shared 0.5 it collapses to chance): all three
+deterministic outputs of a 3-round run at seed 1.
 """
 
 import importlib.util
@@ -23,6 +24,7 @@ _spec.loader.exec_module(workloads)
 
 # Overrides of configs/blobs.ini, as the CLI flags would give them.
 WIDER = {
+    "fp32": {"algorithm": "fp32", "learning_rate": "0.05"},
     "no-reallocation": {"use_bit_reallocation": "false"},
     "cross-device": {
         "clients": "200",

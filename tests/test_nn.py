@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,11 +7,10 @@ import pytest
 from fedmpq.data import DataConfig, make_blobs
 from fedmpq.nn import (
     Conv2dSpec,
-    DenseModel,
     DenseSpec,
+    Model,
     ModelConfig,
     ModelSpec,
-    QuantizedModel,
     TrainConfig,
     backward,
     build_model_spec,
@@ -47,19 +47,19 @@ def tiny_conv(rng, bits=6):
     return dense, quantize_model(dense, [bits] * 3)
 
 
-def numeric_gradients(model: DenseModel, x, y, act_bits=None, step=1e-3):
+def numeric_gradients(model: Model, x, y, act_bits=None, step=1e-3):
     """Central finite differences of the loss in each weight entry."""
 
     def loss_at(weights):
-        probe = DenseModel(model.spec, weights, model.biases)
+        probe = Model(model.spec, weights, model.biases)
         logits, _ = forward(probe, x, act_bits)
         return softmax_cross_entropy(logits, y)[0]
 
     grads = []
-    for l, w in enumerate(model.weights):
+    for l, w in enumerate(model.layers):
         g = np.zeros_like(w)
         for idx in np.ndindex(w.shape):
-            bumped = [wi.copy() for wi in model.weights]
+            bumped = [wi.copy() for wi in model.layers]
             bumped[l][idx] += step
             up = loss_at(bumped)
             bumped[l][idx] -= 2 * step
@@ -93,14 +93,14 @@ class TestModelSpec:
 class TestForward:
     def test_identity_single_layer(self):
         spec = ModelSpec((DenseSpec(3, 3),), (3,), 3)
-        model = DenseModel(spec, [np.eye(3)], [np.zeros(3)])
+        model = Model(spec, [np.eye(3)], [np.zeros(3)])
         x = np.array([[1.0, -2.0, 0.5]])
         logits, _ = forward(model, x, act_bits=None)
         np.testing.assert_array_equal(logits, x)
 
     def test_zero_model_gives_uniform_softmax(self):
         spec = ModelSpec((DenseSpec(4, 6),), (4,), 6)
-        model = DenseModel(spec, [np.zeros((6, 4))], [np.zeros(6)])
+        model = Model(spec, [np.zeros((6, 4))], [np.zeros(6)])
         x = np.random.default_rng(0).normal(size=(8, 4))
         logits, _ = forward(model, x, None)
         loss, _ = softmax_cross_entropy(logits, np.zeros(8, dtype=int))
@@ -109,7 +109,7 @@ class TestForward:
     def test_quantized_matches_dense_reference(self):
         rng = np.random.default_rng(12)
         dense, qmodel = tiny_mlp(rng)
-        reference = DenseModel(
+        reference = Model(
             qmodel.spec, [dequantize(l) for l in qmodel.layers], qmodel.biases
         )
         x = rng.normal(size=(7, 6))
@@ -121,7 +121,7 @@ class TestForward:
     def test_conv_quantized_matches_dense_reference(self):
         rng = np.random.default_rng(21)
         dense, qmodel = tiny_conv(rng)
-        reference = DenseModel(
+        reference = Model(
             qmodel.spec, [dequantize(l) for l in qmodel.layers], qmodel.biases
         )
         x = rng.normal(size=(3, 1, 8, 8))
@@ -131,7 +131,7 @@ class TestForward:
 
     def test_feature_mismatch(self):
         spec = ModelSpec((DenseSpec(3, 3),), (3,), 3)
-        model = DenseModel(spec, [np.eye(3)], [np.zeros(3)])
+        model = Model(spec, [np.eye(3)], [np.zeros(3)])
         with pytest.raises(ValueError):
             forward(model, np.ones((2, 4)), None)
 
@@ -139,7 +139,7 @@ class TestForward:
 class TestBackward:
     def test_uniform_prediction_logit_gradient(self):
         spec = ModelSpec((DenseSpec(4, 5),), (4,), 5)
-        model = DenseModel(spec, [np.zeros((5, 4))], [np.zeros(5)])
+        model = Model(spec, [np.zeros((5, 4))], [np.zeros(5)])
         x = np.ones((1, 4))
         logits, cache = forward(model, x, None)
         _, dlogits = softmax_cross_entropy(logits, np.array([2]))
@@ -159,7 +159,7 @@ class TestBackward:
     def test_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         dense, qmodel = tiny_mlp(rng, dims=(5, 4, 3), bits=7)
-        work = DenseModel(qmodel.spec, [dequantize(l) for l in qmodel.layers], qmodel.biases)
+        work = Model(qmodel.spec, [dequantize(l) for l in qmodel.layers], qmodel.biases)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, size=6)
         logits, cache = forward(work, x, None)
@@ -173,7 +173,7 @@ class TestBackward:
     def test_conv_matches_finite_differences(self):
         rng = np.random.default_rng(44)
         dense, qmodel = tiny_conv(rng, bits=7)
-        work = DenseModel(qmodel.spec, [dequantize(l) for l in qmodel.layers], qmodel.biases)
+        work = Model(qmodel.spec, [dequantize(l) for l in qmodel.layers], qmodel.biases)
         x = rng.normal(size=(2, 1, 8, 8))
         y = rng.integers(0, 5, size=2)
         logits, cache = forward(work, x, None)
@@ -183,6 +183,46 @@ class TestBackward:
         for got, want in zip(grads_w, numeric):
             denom = np.maximum(np.abs(want), 1e-6)
             assert (np.abs(got - want) / denom).max() <= 1e-4
+
+
+# SHA-256 of the logits, then each layer's weight gradient, then each bias
+# gradient, for tiny_conv at seed 61 on one fixed batch of four images.
+CONV_DIGESTS = {
+    "quantized": (
+        "6d1a305997f487c71f0328f495095cecdaf3f6b044223f6084f08a5c53645749",
+        "8c9d5c3e6f6f5b5b60923dbbc7e12f2aa771acf7b6ed27788d8544bbedf2e7d0",
+        "05d77bbb2863b32e6ed0e5867bf457e2ce49032c6e6ba85c4e469bb4ea4a5ea4",
+        "a8997929710b8bcbdc02f826f426ab60786226584ce3a96e249c8e10f8c2bd8f",
+        "7fab75fd86973dd936800897e69637e21900db4f703e6e0528e5564502226897",
+        "fbd3106111b59c3de920d346fb2b1263909579c97ac97983ddb1629917b81ad5",
+        "ef435889f2750a92acb420065a3a73e110b133bdef23c1d136a08655c1d320d7",
+    ),
+    "real": (
+        "9352f6c4ae68bc84a4e0fb08f3598c09f4fbb67286154f06ea9982417554d930",
+        "ca44b88587f21ae4bc0e33e281ea63b2dfea3e4bb8256f0e9333dc196456e5c2",
+        "62d45a4e1e8dbdc28aca76fbf62610ab3df744d9d8f70c04b3882eecb4417c6c",
+        "a4309aa0fed63c55ce85997e5e3110fd8ca2e99c276d837263bf6943131859be",
+        "96f0ebf564d591bdfd39bac95db6df69105938253e25432179196bbdda93a306",
+        "2686b0c2e322dec15fcacc86b37d406254f04ccac435792ea6e3ccb3cf17cec7",
+        "1e5fb6b9c2d26c52821244705d2778f11e4e6ce4ac353f8633fb1414cd6bae8e",
+    ),
+}
+
+
+def test_conv_path_is_byte_identical():
+    """Pins the conv forward and backward bits; no golden run has a conv layer."""
+    rng = np.random.default_rng(61)
+    dense, qmodel = tiny_conv(rng)
+    x = rng.normal(size=(4, 1, 8, 8))
+    y = rng.integers(0, 5, size=4)
+    for name, model, act_bits in (("quantized", qmodel, 4), ("real", dense, None)):
+        logits, cache = forward(model, x, act_bits)
+        _, dlogits = softmax_cross_entropy(logits, y)
+        grads_w, grads_b = backward(cache, dlogits)
+        digests = tuple(
+            hashlib.sha256(a.tobytes()).hexdigest() for a in (logits, *grads_w, *grads_b)
+        )
+        assert digests == CONV_DIGESTS[name], name
 
 
 class TestLocalObjective:
@@ -253,40 +293,40 @@ class TestLocalUpdate:
 
     def test_widths_unchanged_without_pruning_triggers(self, blob_shard):
         model = self.model()
-        trained, widths = local_update(
+        trained = local_update(
             model,
             blob_shard.train_x,
             blob_shard.train_y,
             self.cfg(),
             np.random.default_rng(0),
         )
-        assert widths == (5, 5)
+        assert trained.bit_widths == (5, 5)
 
     def test_threshold_one_prunes_to_single_bit(self, blob_shard):
         model = self.model()
-        _, widths = local_update(
+        trained = local_update(
             model,
             blob_shard.train_x,
             blob_shard.train_y,
             self.cfg(prune_threshold=1.0),
             np.random.default_rng(0),
         )
-        assert widths == (1, 1)
+        assert trained.bit_widths == (1, 1)
 
     def test_widths_never_increase(self, blob_shard):
         model = self.model(bits=3)
-        _, widths = local_update(
+        trained = local_update(
             model,
             blob_shard.train_x,
             blob_shard.train_y,
             self.cfg(prune_threshold=0.2),
             np.random.default_rng(1),
         )
-        assert all(1 <= w <= 3 for w in widths)
+        assert all(1 <= w <= 3 for w in trained.bit_widths)
 
     def test_empty_shard_returns_model_unchanged(self):
         model = self.model()
-        trained, widths = local_update(
+        trained = local_update(
             model,
             np.empty((0, 8)),
             np.empty(0, dtype=int),
@@ -294,12 +334,12 @@ class TestLocalUpdate:
             np.random.default_rng(0),
         )
         assert trained is model
-        assert widths == (5, 5)
+        assert trained.bit_widths == (5, 5)
 
     def test_determinism(self, blob_shard):
         outs = []
         for _ in range(2):
-            trained, _ = local_update(
+            trained = local_update(
                 self.model(),
                 blob_shard.train_x,
                 blob_shard.train_y,
@@ -316,7 +356,7 @@ class TestLocalUpdate:
     def test_training_reduces_loss(self, blob_shard):
         model = self.model(bits=6)
         before = local_objective(model, blob_shard.train_x, blob_shard.train_y, 0.0)
-        trained, _ = local_update(
+        trained = local_update(
             model,
             blob_shard.train_x,
             blob_shard.train_y,
@@ -332,7 +372,7 @@ class TestLocalUpdateDense:
         # With zero momentum buffers the first step is w - lr * (g + wd * w).
         spec = ModelSpec((DenseSpec(8, 10), DenseSpec(10, 4)), (8,), 4)
         model = init_dense_model(spec, np.random.default_rng([5, 202]))
-        before = [w.copy() for w in model.weights]
+        before = [w.copy() for w in model.layers]
         x, y = blob_shard.train_x, blob_shard.train_y
         cfg = TrainConfig(local_epochs=1, batch_size=len(y), learning_rate=0.1, weight_decay=0.01)
         trained = local_update_dense(model, x, y, cfg, np.random.default_rng(4))
@@ -341,12 +381,12 @@ class TestLocalUpdateDense:
         logits, cache = forward(model, x[order], None)
         _, dlogits = softmax_cross_entropy(logits, y[order])
         grads_w, grads_b = backward(cache, dlogits)
-        pairs = [(trained.weights, model.weights, grads_w), (trained.biases, model.biases, grads_b)]
+        pairs = [(trained.layers, model.layers, grads_w), (trained.biases, model.biases, grads_b)]
         lr, wd = cfg.learning_rate, cfg.weight_decay
         for got, start, grads in pairs:
             for p, p0, g in zip(got, start, grads):
                 np.testing.assert_array_equal(p, p0 - lr * (g + wd * p0))
-        for w, w0 in zip(model.weights, before):
+        for w, w0 in zip(model.layers, before):
             np.testing.assert_array_equal(w, w0)
 
 
@@ -363,7 +403,7 @@ class TestEvaluate:
 
     def test_perfect_logits(self):
         spec = ModelSpec((DenseSpec(3, 3),), (3,), 3)
-        model = DenseModel(spec, [np.eye(3) * 100.0], [np.zeros(3)])
+        model = Model(spec, [np.eye(3) * 100.0], [np.zeros(3)])
         x = np.eye(3)
         y = np.arange(3)
         _, acc = evaluate(model, x, y)
@@ -371,7 +411,7 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         spec = ModelSpec((DenseSpec(3, 3),), (3,), 3)
-        model = DenseModel(spec, [np.eye(3)], [np.zeros(3)])
+        model = Model(spec, [np.eye(3)], [np.zeros(3)])
         with pytest.raises(ValueError):
             evaluate(model, np.empty((0, 3)), np.empty(0, dtype=int))
 

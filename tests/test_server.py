@@ -54,10 +54,9 @@ class TestAggregate:
     def test_single_client_identity(self):
         rng = np.random.default_rng(2)
         update = make_update(3, [rng.normal(size=(4, 4))], [4], 50, 4.0)
-        result = aggregate([update], round_index=7)
-        np.testing.assert_array_equal(result.weights[0], dequantize(update.layers[0]))
-        np.testing.assert_array_equal(result.bit_widths, [4.0])
-        assert result.round_index == 7
+        weights, _, bits = aggregate([update])
+        np.testing.assert_array_equal(weights[0], dequantize(update.layers[0]))
+        np.testing.assert_array_equal(bits, [4.0])
 
     def test_weighting_formula(self):
         # v = {2, 8}, |D| = {100, 100} gives p = {0.2, 0.8}, for quantized
@@ -72,26 +71,25 @@ class TestAggregate:
         for a, b in (quantized, full):
             p = aggregation_weights([a, b])
             np.testing.assert_allclose(p, [0.2, 0.8])
-            result = aggregate([a, b])
+            weights, _, bits = aggregate([a, b])
             expected = 0.2 * convert_to_fp(a)[0] + 0.8 * convert_to_fp(b)[0]
-            np.testing.assert_allclose(result.weights[0], expected)
-            bits = 0.2 * a.bit_widths[0] + 0.8 * b.bit_widths[0]
-            np.testing.assert_allclose(result.bit_widths, [bits])
+            np.testing.assert_allclose(weights[0], expected)
+            np.testing.assert_allclose(bits, [0.2 * a.bit_widths[0] + 0.8 * b.bit_widths[0]])
         np.testing.assert_array_equal(convert_to_fp(full[0])[0], wa)
 
     def test_equal_budgets_plain_average(self):
         rng = np.random.default_rng(4)
         ups = [make_update(i, [rng.normal(size=(3, 3))], [4], 25, 4.0) for i in range(4)]
-        result = aggregate(ups)
+        weights, _, _ = aggregate(ups)
         expected = sum(dequantize(u.layers[0]) for u in ups) / 4
-        np.testing.assert_allclose(result.weights[0], expected)
+        np.testing.assert_allclose(weights[0], expected)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(5)
         ups = [make_update(i, [rng.normal(size=(3, 3))], [4], 10 + i, 4.0) for i in range(3)]
-        forward_order = aggregate(ups)
-        reverse_order = aggregate(ups[::-1])
-        np.testing.assert_array_equal(forward_order.weights[0], reverse_order.weights[0])
+        forward_order, _, _ = aggregate(ups)
+        reverse_order, _, _ = aggregate(ups[::-1])
+        np.testing.assert_array_equal(forward_order[0], reverse_order[0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

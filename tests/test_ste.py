@@ -269,6 +269,15 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="finite"):
             sgd_step(layer, np.array([[np.nan, 1.0]]), ctx, lasso_coeff=0.01)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_rejected_before_momentum(self, bad):
+        layer = quantize(np.array([[0.5, -0.2]]), 4)
+        ctx = UpdateContext(lr=0.5, rng=np.random.default_rng(0))
+        ctx.momentum_buffer = np.array([[0.25, -0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            sgd_step(layer, np.array([[bad, 1.0]]), ctx, lasso_coeff=0.01)
+        np.testing.assert_array_equal(ctx.momentum_buffer, [[0.25, -0.5]])
+
     def test_momentum_moves_on_zero_gradient(self):
         layer = quantize(np.random.default_rng(4).normal(size=(4, 4)), 3)
         ctx = UpdateContext(lr=0.5, momentum=0.9, weight_decay=0.0, rng=np.random.default_rng(0))
