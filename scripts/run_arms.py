@@ -15,6 +15,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
+from fedmpq.cli import add_override_flags
 from fedmpq.config import parse_config
 from fedmpq.simulation import run_experiment
 
@@ -34,8 +35,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("config", nargs="?", default=str(ROOT / "configs" / "blobs.ini"))
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    for flag in FLAGS:
-        parser.add_argument("--" + flag.replace("_", "-"), dest=flag)
+    add_override_flags(parser, FLAGS)
     parser.add_argument(
         "--algorithms", nargs="+", default=["fp32", "fpq-k", "fedmpq", "aqfl"]
     )

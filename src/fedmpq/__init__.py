@@ -30,7 +30,6 @@ from .nn import (
     local_update,
 )
 from .server import (
-    BudgetLedger,
     ClientUpdate,
     aggregate,
     binary_representation,

@@ -21,32 +21,14 @@ from .simulation import PartitionError, dirichlet_partition, run_experiment
 OUTPUT_ROOT_ENV = "FEDMPQ_OUTPUT_ROOT"
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algorithm", help="fedmpq, aqfl, fpq-k, or fp32")
-    parser.add_argument("--clients", help="number of clients")
-    parser.add_argument("--participation", help="fraction of clients per round")
-    parser.add_argument("--rounds", help="number of global rounds")
-    parser.add_argument("--budgets", help="comma-separated per-client bit budgets")
-    parser.add_argument("--alpha", help="Dirichlet concentration")
-    parser.add_argument("--seed", help="master seed")
-    parser.add_argument("--fpq-bits", dest="fpq_bits", help="uniform width for fpq-k")
-    parser.add_argument("--use-lasso", dest="use_lasso", help="true/false")
-    parser.add_argument("--use-msb-pruning", dest="use_msb_pruning", help="true/false")
-    parser.add_argument(
-        "--use-bit-reallocation", dest="use_bit_reallocation", help="true/false"
-    )
-    parser.add_argument("--local-epochs", dest="local_epochs", help="epochs per round")
-    parser.add_argument("--learning-rate", dest="learning_rate", help="SGD step size")
-    parser.add_argument("--lasso-coeff", dest="lasso_coeff", help="regularizer weight")
-    parser.add_argument(
-        "--prune-threshold", dest="prune_threshold", help="MSB density threshold"
-    )
-    parser.add_argument("--scale-policy", dest="scale_policy", help="max-abs or range-covering")
-    parser.add_argument("--partition", help="pre-built shard file to reuse")
+def add_override_flags(parser: argparse.ArgumentParser, flags=OVERRIDE_KEYS) -> None:
+    """One ``--flag-name`` option per OVERRIDE_KEYS entry in ``flags``; unset, it is None."""
+    for flag in flags:
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag, help=OVERRIDE_KEYS[flag][2])
 
 
 def _load_config_with_overrides(args: argparse.Namespace):
-    overrides = {flag: getattr(args, flag) for flag in OVERRIDE_KEYS if getattr(args, flag, None)}
+    overrides = {f: getattr(args, f) for f in OVERRIDE_KEYS if getattr(args, f) is not None}
     config = parse_config(args.config, overrides)
     return config, serialize_config(config)
 
@@ -108,23 +90,23 @@ def cmd_partition(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out = Path(args.out)
     try:
         dataset = load_dataset(config.data, config.seed)
         shards = dirichlet_partition(
             dataset.train_y, config.clients, config.alpha, config.seed
         )
+        record = {
+            "alpha": config.alpha,
+            "seed": config.seed,
+            "clients": config.clients,
+            "shards": [[int(i) for i in shard] for shard in shards],
+        }
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(record, sort_keys=True) + "\n")
     except (PartitionError, ValueError, OSError) as exc:
         print(f"partition failed: {exc}", file=sys.stderr)
         return 1
-    record = {
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "clients": config.clients,
-        "shards": [[int(i) for i in shard] for shard in shards],
-    }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(record, sort_keys=True) + "\n")
     sizes = ", ".join(str(len(s)) for s in shards)
     print(f"wrote {out} with shard sizes [{sizes}]")
     return 0
@@ -156,14 +138,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not metrics_path.exists():
             print(f"skipping {run}: no metrics.csv", file=sys.stderr)
             continue
-        with open(metrics_path) as fh:
-            last = list(csv.DictReader(fh))[-1]
+        try:
+            with open(metrics_path) as fh:
+                acc = float(list(csv.DictReader(fh))[-1]["test_accuracy"])
+        except (OSError, LookupError, TypeError, ValueError):
+            print(f"skipping {run}: metrics.csv has no final test_accuracy", file=sys.stderr)
+            continue
         algorithm, seed = run.name, ""
         if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
-            algorithm = manifest.get("algorithm", algorithm)
-            seed = manifest.get("seed", "")
-        rows.append((algorithm, seed, float(last["test_accuracy"]), run_dir))
+            try:
+                manifest = json.loads(manifest_path.read_text())
+                algorithm = str(manifest.get("algorithm", algorithm))
+                seed = str(manifest.get("seed", ""))
+            except (OSError, ValueError, AttributeError) as exc:
+                print(f"skipping {run}: unreadable manifest.json: {exc}", file=sys.stderr)
+                continue
+        rows.append((algorithm, seed, acc, run_dir))
     if not rows:
         print("nothing to compare", file=sys.stderr)
         return 1
@@ -187,13 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment config")
     run.add_argument("config")
     run.add_argument("--out", help="output directory")
-    _add_override_flags(run)
+    add_override_flags(run)
     run.set_defaults(func=cmd_run)
 
     part = sub.add_parser("partition", help="materialize Dirichlet shards")
     part.add_argument("config")
     part.add_argument("--out", required=True, help="shard file to write")
-    _add_override_flags(part)
+    add_override_flags(part)
     part.set_defaults(func=cmd_partition)
 
     insp = sub.add_parser("inspect", help="summarize a checkpoint")

@@ -180,25 +180,25 @@ def serialize_config(config: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-# CLI flag name -> (section, key); values arrive as raw strings.
+# CLI flag name -> (section, key, help); values arrive as raw strings.
 OVERRIDE_KEYS = {
-    "algorithm": ("experiment", "algorithm"),
-    "clients": ("experiment", "clients"),
-    "participation": ("experiment", "participation"),
-    "rounds": ("experiment", "rounds"),
-    "budgets": ("experiment", "budgets"),
-    "alpha": ("experiment", "alpha"),
-    "seed": ("experiment", "seed"),
-    "fpq_bits": ("experiment", "fpq_bits"),
-    "use_lasso": ("experiment", "use_lasso"),
-    "use_msb_pruning": ("experiment", "use_msb_pruning"),
-    "use_bit_reallocation": ("experiment", "use_bit_reallocation"),
-    "local_epochs": ("train", "local_epochs"),
-    "learning_rate": ("train", "learning_rate"),
-    "lasso_coeff": ("train", "lasso_coeff"),
-    "prune_threshold": ("train", "prune_threshold"),
-    "scale_policy": ("train", "scale_policy"),
-    "partition": ("data", "partition"),
+    "algorithm": ("experiment", "algorithm", "fedmpq, aqfl, fpq-k, or fp32"),
+    "clients": ("experiment", "clients", "number of clients"),
+    "participation": ("experiment", "participation", "fraction of clients per round"),
+    "rounds": ("experiment", "rounds", "number of global rounds"),
+    "budgets": ("experiment", "budgets", "comma-separated per-client bit budgets"),
+    "alpha": ("experiment", "alpha", "Dirichlet concentration"),
+    "seed": ("experiment", "seed", "master seed"),
+    "fpq_bits": ("experiment", "fpq_bits", "uniform width for fpq-k"),
+    "use_lasso": ("experiment", "use_lasso", "true/false"),
+    "use_msb_pruning": ("experiment", "use_msb_pruning", "true/false"),
+    "use_bit_reallocation": ("experiment", "use_bit_reallocation", "true/false"),
+    "local_epochs": ("train", "local_epochs", "epochs per round"),
+    "learning_rate": ("train", "learning_rate", "SGD step size"),
+    "lasso_coeff": ("train", "lasso_coeff", "regularizer weight"),
+    "prune_threshold": ("train", "prune_threshold", "MSB density threshold"),
+    "scale_policy": ("train", "scale_policy", "max-abs or range-covering"),
+    "partition": ("data", "partition", "pre-built shard file to reuse"),
 }
 
 
@@ -212,7 +212,7 @@ def apply_overrides(text: str, overrides: dict[str, str]) -> str:
     for flag, raw in overrides.items():
         if raw is None:
             continue
-        section, key = OVERRIDE_KEYS[flag]
+        section, key, _ = OVERRIDE_KEYS[flag]
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, raw)

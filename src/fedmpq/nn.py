@@ -111,6 +111,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("mlp", "conv"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if min((*self.hidden, *self.channels, self.kernel_size)) < 1:
+            raise ValueError("hidden widths, channel counts and kernel_size must be at least 1")
 
 
 def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...], num_classes: int) -> ModelSpec:

@@ -10,7 +10,7 @@ to its budget by the greedy pruning-growing policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,39 +30,35 @@ def check_width_budget(client_id: int, bit_widths, param_counts, budget: float, 
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One client's upload: quantized layers or real matrices, plus bookkeeping."""
+    """One client's upload: quantized layers or real matrices, the biases,
+    and the widths the client was delivered at."""
 
     client_id: int
     layers: tuple[QuantizedLayer | np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    bit_widths: tuple[int, ...]
+    delivered_bits: tuple[int, ...]
     num_samples: int
     budget: float
 
     def __post_init__(self):
-        if self.bit_widths != tuple(wire_bits(l) for l in self.layers):
-            raise ValueError("bit_widths must match the uploaded layers")
+        if (self.reductions < 0).any():
+            raise ValueError("local training can only reduce bit-widths")
         if self.num_samples < 0:
             raise ValueError("num_samples must be non-negative")
 
+    @property
+    def bit_widths(self) -> tuple[int, ...]:
+        """Widths the layers travel at: 32 for a real matrix."""
+        return tuple(wire_bits(l) for l in self.layers)
+
+    @property
+    def reductions(self) -> np.ndarray:
+        """How many planes local training cut from each layer."""
+        delivered = np.asarray(self.delivered_bits, dtype=np.int64)
+        return delivered - np.asarray(self.bit_widths, dtype=np.int64)
+
     def check_budget(self, param_counts: np.ndarray) -> None:
         check_width_budget(self.client_id, self.bit_widths, param_counts, self.budget, "upload")
-
-
-@dataclass
-class BudgetLedger:
-    """Per-client record of how much local training shrank each layer."""
-
-    reductions: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def record(self, client_id: int, delivered, uploaded) -> None:
-        diff = np.asarray(delivered, dtype=np.int64) - np.asarray(uploaded, dtype=np.int64)
-        if (diff < 0).any():
-            raise ValueError("local training can only reduce bit-widths")
-        self.reductions[client_id] = diff
-
-    def get(self, client_id: int, num_layers: int) -> np.ndarray:
-        return self.reductions.get(client_id, np.zeros(num_layers, dtype=np.int64))
 
 
 def convert_to_fp(update: ClientUpdate) -> list[np.ndarray]:

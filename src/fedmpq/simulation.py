@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .nn import (
 )
 from .quant import FP_WIRE_BITS, QuantizedLayer, plane_density, prune_msbs
 from .server import (
-    BudgetLedger,
     ClientUpdate,
     aggregate,
     binary_representation,
@@ -120,6 +119,13 @@ class RoundMetrics:
     total_uploaded_bits: int
     wall_time_sec: float
 
+    def row(self) -> dict:
+        """One row of metrics.csv and rounds.jsonl: the METRICS_COLUMNS in order.
+
+        The fields are declared in column order; the wall time, last, is no column.
+        """
+        return {c: getattr(self, f.name) for c, f in zip(METRICS_COLUMNS, fields(self))}
+
 
 def dirichlet_partition(
     labels: np.ndarray,
@@ -192,17 +198,17 @@ def _arm_settings(config: ExperimentConfig) -> _ArmSettings:
 
 @dataclass
 class SimState:
+    """What the server holds between rounds: the global model, its
+    fractional widths (None until a quantized round aggregates) and each
+    client's last upload, which records the widths it was delivered at."""
+
     config: ExperimentConfig
     spec: ModelSpec
     dataset: Dataset
     shards: list[np.ndarray]
-    global_weights: list[np.ndarray]
-    global_biases: list[np.ndarray]
+    global_model: Model
     global_bits: np.ndarray | None
-    delivered_bits: dict[int, np.ndarray]
-    ledger: BudgetLedger
     last_updates: dict[int, ClientUpdate]
-    round_index: int = 0
 
     @property
     def param_counts(self) -> np.ndarray:
@@ -229,17 +235,13 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
         raise PartitionError(f"training sample {i} is in {holders[i]} shards, not exactly one")
     spec = build_model_spec(config.model, dataset.input_shape, dataset.num_classes)
     rng = np.random.default_rng([config.seed, _SALT_INIT])
-    dense = init_dense_model(spec, rng)
     return SimState(
         config=config,
         spec=spec,
         dataset=dataset,
         shards=shards,
-        global_weights=dense.layers,
-        global_biases=dense.biases,
+        global_model=init_dense_model(spec, rng),
         global_bits=None,
-        delivered_bits={},
-        ledger=BudgetLedger(),
         last_updates={},
     )
 
@@ -251,19 +253,16 @@ def _delivery_bits(state: SimState, arm: _ArmSettings, client: int) -> np.ndarra
         return np.full(n_layers, arm.fixed_bits, dtype=np.int64)
     budget = state.config.budgets[client]
     default = np.full(n_layers, budget, dtype=np.int64)
+    last = state.last_updates.get(client)
     if not arm.use_bit_reallocation:
         # Without server-side reallocation a client keeps whatever widths
         # its own pruning left behind.
-        last = state.last_updates.get(client)
         return default if last is None else np.asarray(last.bit_widths, dtype=np.int64)
     if state.global_bits is None:
         return default
-    return pruning_growing(
-        round_bitwidths(state.global_bits),
-        state.ledger.get(client, n_layers),
-        state.param_counts,
-        budget,
-    )
+    reductions = np.zeros(n_layers, dtype=np.int64) if last is None else last.reductions
+    widths = round_bitwidths(state.global_bits)
+    return pruning_growing(widths, reductions, state.param_counts, budget)
 
 
 def upload_cost_bits(update: ClientUpdate) -> int:
@@ -287,7 +286,8 @@ def _client_avg_bits(state: SimState, arm: _ArmSettings) -> tuple[float, ...]:
     out = []
     for n in range(state.config.clients):
         fallback = arm.fixed_bits if arm.fixed_bits is not None else state.config.budgets[n]
-        widths = state.delivered_bits.get(n, np.full(len(m), fallback, dtype=np.int64))
+        last = state.last_updates.get(n)
+        widths = np.full(len(m), fallback) if last is None else np.asarray(last.delivered_bits)
         out.append(float(widths @ m) / float(m.sum()))
     return tuple(out)
 
@@ -297,14 +297,13 @@ def _global_densities(state: SimState) -> tuple[tuple[float, ...], ...]:
         return ()
     widths = round_bitwidths(state.global_bits)
     layers = binary_representation(
-        state.global_weights, widths, state.config.train.scale_policy
+        state.global_model.layers, widths, state.config.train.scale_policy
     )
     return tuple(plane_density(layer).values for layer in layers)
 
 
 def _evaluate_global(state: SimState) -> tuple[float, float]:
-    model = Model(state.spec, state.global_weights, state.global_biases)
-    return evaluate(model, state.dataset.test_x, state.dataset.test_y, act_bits=None)
+    return evaluate(state.global_model, state.dataset.test_x, state.dataset.test_y, act_bits=None)
 
 
 def _round_metrics(
@@ -340,6 +339,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     arm = _arm_settings(config)
     m = state.param_counts
     train_cfg = replace(config.train, activation_bits=arm.act_bits)
+    global_model = state.global_model
     updates: list[ClientUpdate] = []
     uploaded: dict[int, int] = {}
     for n in sample_clients(config.clients, config.participation, round_index, config.seed):
@@ -347,16 +347,15 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         widths = _delivery_bits(state, arm, n)
         if arm.fixed_bits is None:
             check_width_budget(n, widths, m, config.budgets[n], "delivered widths")
-        state.delivered_bits[n] = widths
 
         rng = np.random.default_rng([config.seed, _SALT_CLIENT, n, round_index])
         idx = state.shards[n]
         xs, ys = state.dataset.train_x[idx], state.dataset.train_y[idx]
         try:
             if arm.quantized:
-                layers = binary_representation(state.global_weights, widths, config.train.scale_policy)
+                layers = binary_representation(global_model.layers, widths, train_cfg.scale_policy)
                 trained = local_update(
-                    Model(state.spec, layers, state.global_biases),
+                    Model(state.spec, layers, global_model.biases),
                     xs,
                     ys,
                     train_cfg,
@@ -365,8 +364,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
                     use_msb_pruning=arm.use_msb_pruning,
                 )
             else:
-                model = Model(state.spec, state.global_weights, state.global_biases)
-                trained = local_update_dense(model, xs, ys, train_cfg, rng)
+                trained = local_update_dense(global_model, xs, ys, train_cfg, rng)
             trained_arrays = list(trained.biases) + ([] if arm.quantized else trained.layers)
             if not all(np.isfinite(a).all() for a in trained_arrays):
                 raise ValueError("trained model is not finite")
@@ -376,21 +374,20 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
             client_id=n,
             layers=tuple(trained.layers),
             biases=tuple(trained.biases),
-            bit_widths=trained.bit_widths,
+            delivered_bits=tuple(int(b) for b in widths),
             num_samples=len(ys),
             budget=float(config.budgets[n]),
         )
         if arm.fixed_bits is None:
             update.check_budget(m)
         uploaded[n] = upload_cost_bits(update)
-        state.ledger.record(n, widths, update.bit_widths)
         state.last_updates[n] = update
         updates.append(update)
 
-    state.global_weights, state.global_biases, bits = aggregate(updates)
+    weights, biases, bits = aggregate(updates)
+    state.global_model = Model(state.spec, weights, biases)
     if arm.quantized:
         state.global_bits = bits
-    state.round_index = round_index
     return _round_metrics(state, arm, round_index, uploaded, started)
 
 
@@ -425,26 +422,17 @@ def run_experiment(
     return metrics, state
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _cell(value) -> str:
+    """A CSV cell: values of a tuple joined by ';', of a tuple of tuples by '|'."""
+    if isinstance(value, tuple):
+        sep = "|" if value and isinstance(value[0], tuple) else ";"
+        return sep.join(_cell(v) for v in value)
+    return str(value)  # a Python float's str is its repr, the shortest exact form
 
 
 def metrics_csv_rows(metrics: list[RoundMetrics]) -> list[str]:
     rows = [",".join(METRICS_COLUMNS)]
-    for m in metrics:
-        cells = [
-            str(m.round_index),
-            repr(m.test_loss),
-            repr(m.test_accuracy),
-            ";".join(_fmt(b) for b in m.global_bits),
-            ";".join(_fmt(b) for b in m.client_avg_bits),
-            "|".join(";".join(_fmt(d) for d in layer) for layer in m.plane_densities),
-            ";".join(str(u) for u in m.uploaded_bits),
-            str(m.total_uploaded_bits),
-        ]
-        rows.append(",".join(cells))
+    rows += [",".join(_cell(v) for v in m.row().values()) for m in metrics]
     return rows
 
 
@@ -459,17 +447,7 @@ def write_outputs(
     (out_dir / "metrics.csv").write_text("\n".join(metrics_csv_rows(metrics)) + "\n")
     with open(out_dir / "rounds.jsonl", "w") as fh:
         for m in metrics:
-            record = {
-                "round": m.round_index,
-                "test_loss": m.test_loss,
-                "test_accuracy": m.test_accuracy,
-                "global_bits": list(m.global_bits),
-                "client_avg_bits": list(m.client_avg_bits),
-                "plane_densities": [list(layer) for layer in m.plane_densities],
-                "uploaded_bits": list(m.uploaded_bits),
-                "total_uploaded_bits": m.total_uploaded_bits,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(m.row(), sort_keys=True) + "\n")
     with open(out_dir / "timings.csv", "w") as fh:
         fh.write("round,wall_time_sec\n")
         for m in metrics:
@@ -481,11 +459,11 @@ def write_outputs(
         widths = round_bitwidths(state.global_bits)
     else:
         widths = np.full(len(state.spec.layers), 8, dtype=np.int64)
-    layers = binary_representation(state.global_weights, widths, config.train.scale_policy)
+    layers = binary_representation(state.global_model.layers, widths, config.train.scale_policy)
     write_checkpoint(ckpt_dir / "final.fmpq", layers)
     np.savez(
         ckpt_dir / "final_biases.npz",
-        **{f"bias_{i}": b for i, b in enumerate(state.global_biases)},
+        **{f"bias_{i}": b for i, b in enumerate(state.global_model.biases)},
     )
     if config_text is not None:
         manifest = {

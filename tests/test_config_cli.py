@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fedmpq.checkpoint import write_checkpoint
-from fedmpq.cli import main
+from fedmpq.cli import build_parser, main
 from fedmpq.config import (
+    OVERRIDE_KEYS,
     ConfigError,
     apply_overrides,
     parse_config_text,
@@ -88,6 +89,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="alpha"):
             parse_config_text(bad)
 
+    @pytest.mark.parametrize("key, value", [("channels", "4,0"), ("kernel_size", "0")])
+    def test_conv_sizes_below_one_rejected(self, key, value):
+        bad = MINIMAL.replace("kind = mlp", f"kind = conv\n{key} = {value}")
+        with pytest.raises(ConfigError, match="at least 1"):
+            parse_config_text(bad)
+
     def test_overrides_rewrite_keys(self):
         text = apply_overrides(MINIMAL, {"alpha": "0.25", "budgets": "2,2,4,4,4,6,6,6,8,8", "clients": "10"})
         config = parse_config_text(text)
@@ -139,6 +146,12 @@ class TestCmdRun:
         assert manifest["algorithm"] == "aqfl"
         assert manifest["seed"] == 7
         assert manifest["budgets"] == [2, 2, 4, 4, 4, 6, 6, 6, 8, 8]
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_every_override_key_has_a_flag(self, command):
+        for flag in OVERRIDE_KEYS:
+            argv = [command, "exp.ini", "--out", "o", "--" + flag.replace("_", "-"), "v"]
+            assert getattr(build_parser().parse_args(argv), flag) == "v"
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -247,7 +260,8 @@ class TestCmdCompare:
 
 
 class TestMalformedInputs:
-    """Bad partition and IDX files end with one stderr line and exit code 1."""
+    """Bad partition and IDX files end with one stderr line and exit code 1,
+    a bad config with one line and exit code 2."""
 
     def one_line_error(self, capsys) -> str:
         err = capsys.readouterr().err.strip()
@@ -302,6 +316,49 @@ class TestMalformedInputs:
         assert proc.returncode == 1
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("run failed: round 1, client 0: ")
+
+    @pytest.mark.parametrize("hidden", ["0", "-3"])
+    def test_model_size_below_one(self, tmp_path, capsys, hidden):
+        config = tmp_path / "bad.ini"
+        config.write_text(MINIMAL.replace("hidden = 8", f"hidden = {hidden}"))
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert self.one_line_error(capsys).startswith("config error: ")
+
+    def test_partition_out_under_a_file(self, config_file, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["partition", str(config_file), "--out", str(afile / "shards.json")]) == 1
+        assert self.one_line_error(capsys).startswith("partition failed: ")
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("metrics.csv", "round,test_accuracy\n", "metrics.csv has no final test_accuracy"),
+            ("metrics.csv", "round,test_loss\n1,0.5\n", "metrics.csv has no final test_accuracy"),
+            ("manifest.json", "{not json", "unreadable manifest.json"),
+        ],
+        ids=["no-rows", "no-accuracy-column", "manifest-not-json"],
+    )
+    def test_compare_skips_unreadable_runs(self, tmp_path, capsys, name, text, message):
+        run = tmp_path / "r"
+        run.mkdir()
+        (run / "metrics.csv").write_text("round,test_accuracy\n1,0.5\n")
+        (run / name).write_text(text)
+        assert main(["compare", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"skipping {run}: {message}")
+        assert "Traceback" not in err
+
+    def test_compare_mixes_runs_with_and_without_manifest(self, tmp_path, capsys):
+        # A run without manifest.json is named after its directory, here an
+        # algorithm name that a run with a manifest (and an int seed) shares.
+        for name, manifest in (("fp32", None), ("r", {"algorithm": "fp32", "seed": 3})):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "metrics.csv").write_text("round,test_accuracy\n1,0.5\n")
+            if manifest:
+                (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["compare", str(tmp_path / "fp32"), str(tmp_path / "r")]) == 0
+        assert "fp32            3" in capsys.readouterr().out
 
     def test_truncated_idx_header(self, tmp_path, capsys):
         idx = tmp_path / "six.idx"

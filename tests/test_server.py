@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fedmpq.quant import QuantizedLayer, ScalePolicy, dequantize, quantize
 from fedmpq.server import (
-    BudgetLedger,
     ClientUpdate,
     aggregate,
     aggregation_weights,
@@ -24,7 +23,7 @@ def make_update(client_id, weights, bits, num_samples, budget, policy=ScalePolic
         client_id=client_id,
         layers=layers,
         biases=biases,
-        bit_widths=tuple(bits),
+        delivered_bits=tuple(bits),
         num_samples=num_samples,
         budget=budget,
     )
@@ -197,27 +196,17 @@ class TestBinaryRepresentation:
         assert [l.zero_point for l in layers] == [4, 4]
 
 
-class TestBudgetLedger:
-    def test_records_reductions(self):
-        ledger = BudgetLedger()
-        ledger.record(2, [4, 4], [4, 2])
-        np.testing.assert_array_equal(ledger.get(2, 2), [0, 2])
-
-    def test_default_is_zero(self):
-        ledger = BudgetLedger()
-        np.testing.assert_array_equal(ledger.get(5, 3), [0, 0, 0])
-
-    def test_rejects_width_growth(self):
-        ledger = BudgetLedger()
-        with pytest.raises(ValueError):
-            ledger.record(0, [4, 4], [5, 4])
-
-
 class TestClientUpdateValidation:
-    def test_bit_widths_must_match_layers(self):
-        layer = quantize(np.ones((2, 2)), 4)
-        with pytest.raises(ValueError):
-            ClientUpdate(0, (layer,), (np.zeros(2),), (3,), 10, 4.0)
+    def test_rejects_width_growth(self):
+        layers = (quantize(np.ones((2, 2)), 4), quantize(np.ones((2, 2)), 5))
+        with pytest.raises(ValueError, match="only reduce"):
+            ClientUpdate(0, layers, (np.zeros(2), np.zeros(2)), (4, 4), 10, 4.0)
+
+    def test_reductions_are_delivered_minus_uploaded(self):
+        layers = (quantize(np.ones((2, 2)), 4), quantize(np.ones((2, 2)), 2), np.ones((2, 2)))
+        update = ClientUpdate(2, layers, (np.zeros(2),) * 3, (4, 4, 32), 10, 4.0)
+        assert update.bit_widths == (4, 2, 32)
+        np.testing.assert_array_equal(update.reductions, [0, 2, 0])
 
     def test_budget_check_allows_one_growing_step(self):
         update = make_update(0, [np.ones((10, 10)), np.ones((2, 5))], [5, 8], 10, 5.0)

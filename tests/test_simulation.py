@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from fedmpq.data import DataConfig
 from fedmpq.nn import ModelConfig, TrainConfig
+from fedmpq.server import pruning_growing, round_bitwidths
 from fedmpq.simulation import (
+    METRICS_COLUMNS,
     ExperimentConfig,
     PartitionError,
+    _arm_settings,
+    _delivery_bits,
     dirichlet_partition,
     init_state,
     metrics_csv_rows,
@@ -101,19 +107,33 @@ class TestRunRound:
         slack = m.max() / m.sum()
         for r in range(1, 5):
             run_round(state, config, r)
-            for n, widths in state.delivered_bits.items():
+            for n, update in state.last_updates.items():
+                widths = np.asarray(update.delivered_bits)
                 avg = float(widths @ m) / m.sum()
                 assert avg <= config.budgets[n] + slack + 1e-9
                 assert widths.min() >= 1 and widths.max() <= 8
 
+    def test_client_without_upload_reallocates_from_zero_reductions(self):
+        config = small_config(clients=8, budgets=(2, 3, 4, 5, 6, 7, 8, 8), participation=0.5)
+        state = init_state(config)
+        run_round(state, config, 1)
+        fresh = [n for n in range(config.clients) if n not in state.last_updates]
+        assert fresh
+        zeros = np.zeros(len(state.spec.layers), dtype=np.int64)
+        for n in fresh:
+            expected = pruning_growing(
+                round_bitwidths(state.global_bits), zeros, state.param_counts, config.budgets[n]
+            )
+            np.testing.assert_array_equal(_delivery_bits(state, _arm_settings(config), n), expected)
+
     def test_single_client_fp32_global_equals_local(self):
         config = small_config(algorithm="fp32", clients=1, budgets=(8,), rounds=1)
         state = init_state(config)
-        before = [w.copy() for w in state.global_weights]
+        before = [w.copy() for w in state.global_model.layers]
         run_round(state, config, 1)
         # Aggregation over one client is that client's trained model.
         changed = any(
-            not np.array_equal(w, b) for w, b in zip(state.global_weights, before)
+            not np.array_equal(w, b) for w, b in zip(state.global_model.layers, before)
         )
         assert changed
 
@@ -174,6 +194,14 @@ class TestRunExperiment:
         assert (
             tmp_path / "a/checkpoints/final.fmpq"
         ).read_bytes() == (tmp_path / "b/checkpoints/final.fmpq").read_bytes()
+
+    def test_csv_and_jsonl_rows_share_the_columns(self, tmp_path):
+        metrics, _ = run_experiment(small_config(rounds=1), tmp_path)
+        header, row = (tmp_path / "metrics.csv").read_text().splitlines()
+        record = json.loads((tmp_path / "rounds.jsonl").read_text())
+        assert header.split(",") == list(metrics[0].row()) == list(METRICS_COLUMNS)
+        assert record == json.loads(json.dumps(metrics[0].row()))
+        assert row.split(",")[2] == repr(record["test_accuracy"])
 
     def test_budget_vector_accepted_and_tracked(self):
         config = small_config(
