@@ -106,12 +106,32 @@ def _line_of(text: str, section: str, key: str) -> int | None:
     return None
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """The config in INI ``text``, with ``overrides`` (see OVERRIDE_KEYS) set on top.
+
+    An error names the line of ``text`` that holds the key, or the flag that
+    set it.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    flags: dict[tuple[str, str], str] = {}
+    for flag, raw in (overrides or {}).items():
+        if raw is None:
+            continue
+        section, key, _ = OVERRIDE_KEYS[flag]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, raw)
+        flags[section, key] = flag
+
+    def where(section: str, key: str) -> str:
+        if (section, key) in flags:
+            return f" (--{flags[section, key].replace('_', '-')})"
+        line = _line_of(text, section, key)
+        return f" (line {line})" if line else ""
 
     values: dict[str, dict] = {name: {} for name in _SCHEMA}
     for section in parser.sections():
@@ -120,16 +140,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         for key, raw in parser.items(section):
             entry = _SCHEMA[section].get(key)
             if entry is None:
-                line = _line_of(text, section, key)
-                where = f" (line {line})" if line else ""
-                raise ConfigError(f"unknown key '{key}' in section [{section}]{where}")
+                raise ConfigError(f"unknown key '{key}' in section [{section}]{where(section, key)}")
             try:
                 values[section][entry.field] = entry.parse(raw)
             except (ValueError, KeyError) as exc:
-                line = _line_of(text, section, key)
-                where = f" (line {line})" if line else ""
                 raise ConfigError(
-                    f"bad value for '{key}' in section [{section}]{where}: {exc}"
+                    f"bad value for '{key}' in section [{section}]{where(section, key)}: {exc}"
                 ) from exc
 
     try:
@@ -147,7 +163,7 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> E
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(apply_overrides(text, overrides) if overrides else text)
+    return parse_config_text(text, overrides)
 
 
 def _fmt_value(value) -> str:
@@ -203,23 +219,5 @@ OVERRIDE_KEYS = {
 
 
 def apply_overrides(text: str, overrides: dict[str, str]) -> str:
-    """Rewrite config text with CLI overrides, then the result re-parses."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-    for flag, raw in overrides.items():
-        if raw is None:
-            continue
-        section, key, _ = OVERRIDE_KEYS[flag]
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, raw)
-    lines = []
-    for section in parser.sections():
-        lines.append(f"[{section}]")
-        for key, value in parser.items(section):
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
+    """Config text with CLI overrides applied, in serialize_config's form."""
+    return serialize_config(parse_config_text(text, overrides))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quant import (
+    MAX_BITS,
     QuantizedLayer,
     ScalePolicy,
     dequantize,
@@ -166,10 +167,17 @@ class TrainConfig:
             raise ValueError("local_epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.lasso_coeff < 0:
-            raise ValueError("lasso_coeff must be non-negative")
+        # Written so that NaN fails each range check.
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError("momentum must lie in [0, 1)")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ValueError("weight_decay must be non-negative and finite")
+        if self.activation_bits is not None and not (1 <= self.activation_bits <= MAX_BITS):
+            raise ValueError(f"activation_bits must be none or in [1, {MAX_BITS}]")
+        if not (0.0 <= self.lasso_coeff < math.inf):
+            raise ValueError("lasso_coeff must be non-negative and finite")
         if not (0.0 <= self.prune_threshold <= 1.0):
             raise ValueError("prune_threshold must lie in [0, 1]")
 
@@ -330,26 +338,23 @@ def local_objective(
     return float(loss)
 
 
-def _momentum_sgd(cfg: TrainConfig, params: list[np.ndarray]):
-    """Weight-space momentum SGD with weight decay, one buffer per tensor."""
-    bufs = [np.zeros_like(p) for p in params]
-
-    def step(l: int, w: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        bufs[l] = cfg.momentum * bufs[l] + (grad + cfg.weight_decay * w)
-        return w - cfg.learning_rate * bufs[l]
-
-    return step
-
-
-def _train(model: Model, features, labels, cfg: TrainConfig, rng, act_bits, weight_step) -> Model:
+def _train(model: Model, features, labels, cfg: TrainConfig, rng, act_bits, lams=()) -> Model:
     """Epochs of shuffled minibatches, the one client loop of every arm.
 
-    ``weight_step(l, layer, grad)`` returns layer l moved by its task
-    gradient; the layer is a QuantizedLayer or a real matrix, as in
-    ``model``. Biases always take a full-precision momentum-SGD step.
+    Each weight matrix and each bias keeps a weight-space momentum buffer
+    m = momentum * m + (g + weight_decay * w). For a weight, w is the matrix
+    ``forward`` dequantized; for a bias, the bias. A QuantizedLayer then
+    takes the snapped step ``sgd_step(layer, m, ctx, lams[l])`` with the
+    client's one UpdateContext; a real matrix and a bias take w - lr * m.
     """
     work = Model(model.spec, list(model.layers), [b.copy() for b in model.biases])
-    bias_step = _momentum_sgd(cfg, work.biases)
+    ctx = UpdateContext(cfg.learning_rate, rng)
+    bufs_w = [np.zeros(s.weight_shape) for s in model.spec.layers]
+    bufs_b = [np.zeros_like(b) for b in work.biases]
+
+    def buffered(m: np.ndarray, grad: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return cfg.momentum * m + (grad + cfg.weight_decay * w)
+
     n = len(labels)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
@@ -358,9 +363,14 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, act_bits, weig
             logits, cache = forward(work, features[sel], act_bits)
             _, dlogits = softmax_cross_entropy(logits, labels[sel])
             grads_w, grads_b = backward(cache, dlogits)
-            for l in range(len(work.layers)):
-                work.layers[l] = weight_step(l, work.layers[l], grads_w[l])
-                work.biases[l] = bias_step(l, work.biases[l], grads_b[l])
+            for l, layer in enumerate(work.layers):
+                bufs_w[l] = buffered(bufs_w[l], grads_w[l], cache.weights[l])
+                bufs_b[l] = buffered(bufs_b[l], grads_b[l], work.biases[l])
+                if isinstance(layer, QuantizedLayer):
+                    work.layers[l] = sgd_step(layer, bufs_w[l], ctx, lams[l])
+                else:
+                    work.layers[l] = layer - cfg.learning_rate * bufs_w[l]
+                work.biases[l] = work.biases[l] - cfg.learning_rate * bufs_b[l]
     return work
 
 
@@ -384,17 +394,8 @@ def local_update(
         logger.warning("empty shard: returning the model unchanged")
         return model
     spec = model.spec
-    ctxs = [
-        UpdateContext(cfg.learning_rate, cfg.momentum, cfg.weight_decay, None, rng)
-        for _ in model.layers
-    ]
-    total = spec.total_params
-    lams = [cfg.lasso_coeff * c / total if use_lasso else 0.0 for c in spec.param_counts]
-
-    def snapped(l: int, layer: QuantizedLayer, grad: np.ndarray) -> QuantizedLayer:
-        return sgd_step(layer, grad, ctxs[l], lams[l])
-
-    trained = _train(model, features, labels, cfg, rng, cfg.activation_bits, snapped)
+    lams = [cfg.lasso_coeff * c / spec.total_params if use_lasso else 0.0 for c in spec.param_counts]
+    trained = _train(model, features, labels, cfg, rng, cfg.activation_bits, lams)
     if use_msb_pruning:
         trained.layers = [
             prune_msbs(layer, cfg.prune_threshold, cfg.scale_policy)[0] for layer in trained.layers
@@ -413,7 +414,7 @@ def local_update_dense(
     if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
         return model
-    return _train(model, features, labels, cfg, rng, None, _momentum_sgd(cfg, model.layers))
+    return _train(model, features, labels, cfg, rng, None)
 
 
 def evaluate(

@@ -44,17 +44,10 @@ _EXPONENT = np.int64(0x7FF << 52)
 
 @dataclass
 class UpdateContext:
-    """Per-layer optimizer state owned by a single client.
-
-    The momentum buffer lives in full-precision weight space; only the
-    snapped delta ever touches the fixed-point weights. The RNG stream is
-    private to the owning client and feeds the sub-step Bernoulli draws.
-    """
+    """A client's plane-space rate (see sgd_step) and its private RNG stream,
+    which feeds the sub-step Bernoulli draws. Momentum lives in nn._train."""
 
     lr: float
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    momentum_buffer: np.ndarray | None = None
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
 
@@ -195,19 +188,18 @@ def apply_update(layer: QuantizedLayer, delta: np.ndarray) -> QuantizedLayer:
 
 def sgd_step(
     layer: QuantizedLayer,
-    grad_w_task: np.ndarray,
+    grad_w: np.ndarray,
     ctx: UpdateContext,
     lasso_coeff: float = 0.0,
 ) -> QuantizedLayer:
-    """One momentum-SGD step on the fixed-point grid.
+    """One snapped step on the fixed-point grid from a buffered gradient.
 
-    Weight decay is added to the task gradient and momentum accumulated in
-    full-precision weight space; the buffered gradient is spread over the
-    planes, the (optionally weighted) group-Lasso subgradient is added
-    there, and the combined plane gradients drive the snapped update.
-    With lasso_coeff 0, momentum 0, and weight decay 0 this reduces to
-    fixed_point_delta followed by apply_update on the task gradient alone.
-    A non-finite task gradient raises ValueError and leaves ctx untouched.
+    ``grad_w`` is the weight-space gradient after momentum and weight decay,
+    as nn._train buffers it. It is spread over the planes, the (optionally
+    weighted) group-Lasso subgradient is added there, and the combined plane
+    gradients drive the snapped update. With lasso_coeff 0 this is
+    fixed_point_delta followed by apply_update. A non-finite gradient
+    raises ValueError before any RNG draw.
 
     ctx.lr is a plane-space rate, not a weight-space one: for a buffered
     gradient m, a range s and a grid step s / (2^b - 1), an entry moves by
@@ -217,19 +209,12 @@ def sgd_step(
     """
     if lasso_coeff < 0:
         raise ValueError("lasso_coeff must be non-negative")
-    g = np.asarray(grad_w_task, dtype=np.float64)
+    g = np.asarray(grad_w, dtype=np.float64)
     if not np.isfinite(g).all():
-        raise ValueError("task gradient is not finite")
-    if ctx.weight_decay:
-        g = g + ctx.weight_decay * layer.values()
-    if ctx.momentum_buffer is None:
-        ctx.momentum_buffer = np.zeros((layer.rows, layer.cols))
-    ctx.momentum_buffer = ctx.momentum * ctx.momentum_buffer + g
-    combined = ctx.momentum_buffer
-    plane_g = ste_backward(combined, layer)
+        raise ValueError("gradient is not finite")
+    plane_g = ste_backward(g, layer)
     if lasso_coeff > 0.0:
         _, lasso = group_lasso(layer)
         lasso *= lasso_coeff
         plane_g += lasso
-    delta = fixed_point_delta(combined, plane_g, ctx, layer)
-    return apply_update(layer, delta)
+    return apply_update(layer, fixed_point_delta(g, plane_g, ctx, layer))

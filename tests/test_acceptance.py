@@ -114,7 +114,7 @@ def test_criterion_04_fixed_point_update_semantics():
     layer = QuantizedLayer.from_codes(np.full((1, 1), 2), 3.0, 2)  # one step = 1
 
     def delta(g1, seed=0):
-        ctx = UpdateContext(lr=1.0, momentum=0.0, weight_decay=0.0, rng=np.random.default_rng(seed))
+        ctx = UpdateContext(lr=1.0, rng=np.random.default_rng(seed))
         grad = np.array([[g1]])
         return fixed_point_delta(grad, task_plane_grads(grad, layer), ctx, layer)[0, 0]
 
@@ -125,7 +125,7 @@ def test_criterion_04_fixed_point_update_semantics():
 
     big = QuantizedLayer.from_codes(np.full((250, 400), 2), 3.0, 2)
     grad = np.full((250, 400), 0.25)
-    ctx = UpdateContext(lr=1.0, momentum=0.0, weight_decay=0.0, rng=np.random.default_rng(77))
+    ctx = UpdateContext(lr=1.0, rng=np.random.default_rng(77))
     d = fixed_point_delta(grad, task_plane_grads(grad, big), ctx, big)
     n = d.size
     assert n >= 10**5

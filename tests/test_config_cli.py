@@ -159,6 +159,21 @@ class TestCmdRun:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "mystery_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--seed", "2"]], ids=["file", "with-flag"])
+    def test_unknown_key_line_is_the_file_line(self, tmp_path, capsys, flags):
+        text = MINIMAL + "\nmystery = 3\n"
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        line = text.splitlines().index("mystery = 3") + 1
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+        assert f"unknown key 'mystery' in section [data] (line {line})" in capsys.readouterr().err
+
+    def test_bad_flag_value_names_the_flag(self, config_file, tmp_path, capsys):
+        assert main(["run", str(config_file), "--out", str(tmp_path / "o"), "--seed", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "bad value for 'seed' in section [experiment] (--seed)" in err
+        assert "line" not in err
+
     def test_manifest_config_round_trips(self, config_file, tmp_path):
         out = tmp_path / "out"
         main(["run", str(config_file), "--out", str(out), "--seed", "9"])
@@ -323,6 +338,30 @@ class TestMalformedInputs:
         config.write_text(MINIMAL.replace("hidden = 8", f"hidden = {hidden}"))
         assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         assert self.one_line_error(capsys).startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", "nan"),
+            ("learning_rate", "inf"),
+            ("momentum", "-1"),
+            ("momentum", "1"),
+            ("weight_decay", "nan"),
+            ("weight_decay", "inf"),
+            ("weight_decay", "-0.1"),
+            ("lasso_coeff", "nan"),
+            ("lasso_coeff", "inf"),
+            ("activation_bits", "0"),
+            ("activation_bits", "9"),
+        ],
+    )
+    def test_optimizer_setting_out_of_range(self, tmp_path, capsys, key, value):
+        config = tmp_path / "bad.ini"
+        config.write_text(MINIMAL.replace("batch_size = 16", f"batch_size = 16\n{key} = {value}"))
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = self.one_line_error(capsys)
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "o").exists()
 
     def test_partition_out_under_a_file(self, config_file, tmp_path, capsys):
         afile = tmp_path / "afile"

@@ -23,8 +23,8 @@ from fedmpq.nn import (
     quantize_model,
     softmax_cross_entropy,
 )
-from fedmpq.quant import dequantize
-from fedmpq.ste import group_lasso
+from fedmpq.quant import QuantizedLayer, dequantize
+from fedmpq.ste import UpdateContext, group_lasso, sgd_step
 
 
 def tiny_mlp(rng, dims=(6, 5, 4), bits=6):
@@ -365,6 +365,55 @@ class TestLocalUpdate:
         )
         after = local_objective(trained, blob_shard.train_x, blob_shard.train_y, 0.0)
         assert after < before
+
+    def test_two_minibatches_are_two_snapped_steps(self, blob_shard):
+        # The first step snaps m1 = g1 + wd * w0; the second carries it as
+        # m2 = momentum * m1 + (g2 + wd * w1). Biases take b - lr * m by the
+        # same rule. w is the dequantized matrix, one Lasso weight per layer.
+        model = self.model()
+        x, y = blob_shard.train_x, blob_shard.train_y
+        half = (len(y) + 1) // 2
+        cfg = self.cfg(local_epochs=1, batch_size=half, lasso_coeff=0.01, weight_decay=0.01)
+        trained = local_update(model, x, y, cfg, np.random.default_rng(4), use_msb_pruning=False)
+
+        rng = np.random.default_rng(4)
+        order = rng.permutation(len(y))
+        ctx = UpdateContext(cfg.learning_rate, rng)
+        lams = [cfg.lasso_coeff * c / model.spec.total_params for c in model.spec.param_counts]
+        lr, mu, wd = cfg.learning_rate, cfg.momentum, cfg.weight_decay
+
+        def grads(current, sel):
+            logits, cache = forward(current, x[sel], cfg.activation_bits)
+            return (*backward(cache, softmax_cross_entropy(logits, y[sel])[1]), cache.weights)
+
+        def step(current, m_w, m_b):
+            layers = [sgd_step(l, m, ctx, lam) for l, m, lam in zip(current.layers, m_w, lams)]
+            return Model(current.spec, layers, [b - lr * m for b, m in zip(current.biases, m_b)])
+
+        g_w, g_b, w0 = grads(model, order[:half])
+        m_w = [g + wd * w for g, w in zip(g_w, w0)]
+        m_b = [g + wd * b for g, b in zip(g_b, model.biases)]
+        first = step(model, m_w, m_b)
+        g_w, g_b, w1 = grads(first, order[half:])
+        m_w = [mu * m + (g + wd * w) for m, g, w in zip(m_w, g_w, w1)]
+        m_b = [mu * m + (g + wd * b) for m, g, b in zip(m_b, g_b, first.biases)]
+        second = step(first, m_w, m_b)
+
+        for got, want in zip(trained.layers, second.layers):
+            np.testing.assert_array_equal(got.codes, want.codes)
+        for got, want in zip(trained.biases, second.biases):
+            np.testing.assert_array_equal(got, want)
+
+    def test_values_once_per_layer_per_minibatch(self, blob_shard, monkeypatch):
+        # forward dequantizes each layer; weight decay reuses that matrix.
+        calls = []
+        values = QuantizedLayer.values
+        monkeypatch.setattr(QuantizedLayer, "values", lambda layer: calls.append(layer) or values(layer))
+        model, cfg = self.model(), self.cfg(lasso_coeff=0.01)
+        local_update(model, blob_shard.train_x, blob_shard.train_y, cfg, np.random.default_rng(0))
+        minibatches = cfg.local_epochs * math.ceil(len(blob_shard.train_y) / cfg.batch_size)
+        assert cfg.weight_decay > 0
+        assert len(calls) == minibatches * len(model.layers)
 
 
 class TestLocalUpdateDense:

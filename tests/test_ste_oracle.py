@@ -4,10 +4,13 @@
 and ``_ref_sgd_step`` are the earlier mask-per-case implementation, kept
 verbatim (bar names and docstrings) as the oracle for the current one:
 every delta, Lasso value and subgradient must match to the byte, and both
-must leave the client RNG in the same state.
+must leave the client RNG in the same state. ``_RefContext`` is the
+optimizer state they ran on, momentum buffer included; the current
+``sgd_step`` takes that buffer from the client loop instead.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +28,15 @@ from fedmpq.ste import (
 )
 
 _SQRT_HALF = math.sqrt(0.5)
+
+
+@dataclass
+class _RefContext:
+    lr: float
+    momentum: float
+    weight_decay: float
+    momentum_buffer: np.ndarray | None
+    rng: np.random.Generator
 
 
 def _nearest_pow2_exponent(x: np.ndarray) -> np.ndarray:
@@ -53,7 +65,7 @@ def _ref_plane_update_powers(plane_grads: np.ndarray, lr: float) -> np.ndarray:
 def _ref_fixed_point_delta(
     grad_w: np.ndarray,
     plane_grads: np.ndarray,
-    ctx: UpdateContext,
+    ctx: _RefContext,
     layer: QuantizedLayer,
 ) -> np.ndarray:
     g = np.asarray(plane_grads, dtype=np.float64)
@@ -97,7 +109,7 @@ def _ref_fixed_point_delta(
 def _ref_sgd_step(
     layer: QuantizedLayer,
     grad_w_task: np.ndarray,
-    ctx: UpdateContext,
+    ctx: _RefContext,
     lasso_coeff: float = 0.0,
 ) -> QuantizedLayer:
     if lasso_coeff < 0:
@@ -156,15 +168,15 @@ def snapped_cases(draw):
     return layer, grad_w, plane_grads, lr
 
 
-def _ctx(lr: float, seed: int, momentum: float = 0.0, weight_decay: float = 0.0) -> UpdateContext:
-    return UpdateContext(lr, momentum, weight_decay, None, np.random.default_rng(seed))
+def _ref_ctx(lr: float, seed: int, momentum: float = 0.0, weight_decay: float = 0.0) -> _RefContext:
+    return _RefContext(lr, momentum, weight_decay, None, np.random.default_rng(seed))
 
 
 @given(snapped_cases(), st.integers(0, 2**32 - 1))
 @settings(max_examples=400, deadline=None)
 def test_fixed_point_delta_matches_reference(case, seed):
     layer, grad_w, plane_grads, lr = case
-    ctx, ref = _ctx(lr, seed), _ctx(lr, seed)
+    ctx, ref = UpdateContext(lr, np.random.default_rng(seed)), _ref_ctx(lr, seed)
     got = fixed_point_delta(grad_w, plane_grads, ctx, layer)
     want = _ref_fixed_point_delta(grad_w, plane_grads, ref, layer)
     assert got.tobytes() == want.tobytes()
@@ -199,13 +211,18 @@ def test_group_lasso_matches_reference(case):
 @given(snapped_cases(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 0.3]), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_sgd_step_matches_reference(case, seed, lasso_coeff, decay):
+    # The client loop's buffer rule, m = momentum * m + (g + weight_decay * w),
+    # as the reference accumulates it.
     layer, grad_w, _, lr = case
     momentum, weight_decay = (0.9, 5e-4) if decay else (0.0, 0.0)
-    ctx, ref = _ctx(lr, seed, momentum, weight_decay), _ctx(lr, seed, momentum, weight_decay)
+    ctx, ref = UpdateContext(lr, np.random.default_rng(seed)), _ref_ctx(lr, seed, momentum, weight_decay)
+    m = np.zeros((layer.rows, layer.cols))
     for _ in range(3):
-        got = sgd_step(layer, grad_w, ctx, lasso_coeff)
+        g = grad_w + weight_decay * layer.values() if decay else grad_w
+        m = momentum * m + g
+        got = sgd_step(layer, m, ctx, lasso_coeff)
         want = _ref_sgd_step(layer, grad_w, ref, lasso_coeff)
         assert got.codes.tobytes() == want.codes.tobytes()
-        assert ctx.momentum_buffer.tobytes() == ref.momentum_buffer.tobytes()
+        assert m.tobytes() == ref.momentum_buffer.tobytes()
         assert ctx.rng.bit_generator.state == ref.rng.bit_generator.state
         layer = got
