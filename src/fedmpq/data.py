@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,11 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in ("blobs", "idx"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        # Written so that NaN fails each check.
+        if not (0.0 <= self.cluster_std < math.inf):
+            raise ValueError("cluster_std must be non-negative and finite")
+        if not math.isfinite(self.feature_scale):
+            raise ValueError("feature_scale must be finite")
         if self.kind == "blobs":
             if self.classes < 2 or self.features < 1:
                 raise ValueError("blobs need at least 2 classes and 1 feature")

@@ -264,7 +264,7 @@ def forward(
             z = shift_add_matmul(rows.T, layer).T
         else:
             z = rows @ layer.T
-        z = z + model.biases[idx]
+        z += model.biases[idx]
         if conv:
             oh = a.shape[2] - layer_spec.kernel_size + 1
             ow = a.shape[3] - layer_spec.kernel_size + 1
@@ -294,7 +294,8 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> tuple[list[np.ndarray]
     """Task-loss gradients per layer on the dequantized weights.
 
     ReLU is differentiated at the stored pre-activations; the activation
-    grid is treated as identity (straight-through).
+    grid is treated as identity (straight-through). The gradient with respect
+    to the network's input is not computed.
     """
     specs = cache.spec.layers
     n = len(specs)
@@ -309,12 +310,13 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> tuple[list[np.ndarray]
             delta = delta.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels)
         grads_w[idx] = delta.T @ rows
         grads_b[idx] = delta.sum(axis=0)
+        if idx == 0:
+            break
         da = delta @ cache.weights[idx]
         if conv:
             da = _col2im(da, x_shape, spec.kernel_size)
-        if idx > 0:
-            z_prev = cache.preacts[idx - 1]
-            delta = da.reshape(z_prev.shape) * (z_prev > 0.0)
+        z_prev = cache.preacts[idx - 1]
+        delta = da.reshape(z_prev.shape) * (z_prev > 0.0)
     return grads_w, grads_b
 
 
@@ -352,8 +354,13 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, act_bits, lams
     bufs_w = [np.zeros(s.weight_shape) for s in model.spec.layers]
     bufs_b = [np.zeros_like(b) for b in work.biases]
 
-    def buffered(m: np.ndarray, grad: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return cfg.momentum * m + (grad + cfg.weight_decay * w)
+    def buffer(m: np.ndarray, grad: np.ndarray, w: np.ndarray) -> None:
+        """m = momentum * m + (grad + weight_decay * w), in place; float
+        addition and multiplication commute, so the bits are the same."""
+        g = cfg.weight_decay * w
+        g += grad
+        m *= cfg.momentum
+        m += g
 
     n = len(labels)
     for _ in range(cfg.local_epochs):
@@ -364,13 +371,13 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, act_bits, lams
             _, dlogits = softmax_cross_entropy(logits, labels[sel])
             grads_w, grads_b = backward(cache, dlogits)
             for l, layer in enumerate(work.layers):
-                bufs_w[l] = buffered(bufs_w[l], grads_w[l], cache.weights[l])
-                bufs_b[l] = buffered(bufs_b[l], grads_b[l], work.biases[l])
+                buffer(bufs_w[l], grads_w[l], cache.weights[l])
+                buffer(bufs_b[l], grads_b[l], work.biases[l])
                 if isinstance(layer, QuantizedLayer):
                     work.layers[l] = sgd_step(layer, bufs_w[l], ctx, lams[l])
                 else:
                     work.layers[l] = layer - cfg.learning_rate * bufs_w[l]
-                work.biases[l] = work.biases[l] - cfg.learning_rate * bufs_b[l]
+                work.biases[l] -= cfg.learning_rate * bufs_b[l]
     return work
 
 

@@ -19,6 +19,10 @@ MAX_BITS = 8
 # Bit i of code c at [c, i], for every code of the widest layer.
 _CODE_BITS = (np.arange(1 << MAX_BITS)[:, None] >> np.arange(MAX_BITS)) & 1
 
+# 2^i for plane i: as the uint8 mask that keeps bit i of a code, and as a float.
+_PLANE_MASKS = (1 << np.arange(MAX_BITS)).astype(np.uint8)
+PLANE_WEIGHTS = _PLANE_MASKS.astype(np.float64)
+
 
 class ScalePolicy(str, Enum):
     """Rule used to derive the per-layer scale from the weight range.
@@ -102,6 +106,11 @@ class QuantizedLayer:
         """Binary planes, shape (bit_width, rows, cols), LSB plane first."""
         shifts = np.arange(self.bit_width, dtype=np.uint8)[:, None, None]
         return (self.codes >> shifts) & 1
+
+    def masked_codes(self) -> np.ndarray:
+        """Codes masked bit by bit, shape (bit_width, rows, cols): entry [i]
+        is codes & 2^i, that is 2^i times plane i, in one pass."""
+        return self.codes & _PLANE_MASKS[: self.bit_width, None, None]
 
     def plane_counts(self) -> list[int]:
         """Number of ones in each plane, LSB plane first, read off a histogram
@@ -196,10 +205,15 @@ def shift_add_matmul(activations: np.ndarray, layer: QuantizedLayer) -> np.ndarr
         raise ValueError(
             f"activations must be ({layer.cols}, U), got {a.shape}"
         )
-    planes = layer.planes().astype(np.float64)
+    # codes & 2^i is 2^i * plane i, so each product comes out scaled by 2^i
+    # exactly. One stacked matmul makes one (rows, cols) product per plane;
+    # a single (bit_width * rows, cols) product would not do: BLAS picks its
+    # kernel by shape, so its rows can round differently. The products are
+    # added in plane order from zero, since np.add.reduce sums pairwise when
+    # the output has one entry.
     acc = np.zeros((layer.rows, a.shape[1]))
-    for i in range(layer.bit_width):
-        acc += float(1 << i) * (planes[i] @ a)
+    for term in layer.masked_codes().astype(np.float64) @ a:
+        acc += term
     return layer.step * (acc - layer.zero_point * a.sum(axis=0)[None, :])
 
 
@@ -259,4 +273,11 @@ def quantize_activations(tensor: np.ndarray, bits: int) -> np.ndarray:
         return arr
     levels = (1 << bits) - 1
     step = peak / levels
-    return np.clip(np.rint(arr / step), 0, levels) * step
+    grid = np.divide(arr, step)
+    np.rint(grid, out=grid)
+    # np.clip in two ufuncs, without its Python wrapper; 0 goes first so a
+    # -0.0 stays -0.0, as np.clip keeps it.
+    np.maximum(0.0, grid, out=grid)
+    np.minimum(grid, levels, out=grid)
+    grid *= step
+    return grid

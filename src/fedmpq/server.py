@@ -157,9 +157,22 @@ def binary_representation(
     weights: list[np.ndarray],
     bit_widths,
     policy: ScalePolicy = ScalePolicy.RANGE_COVERING,
+    grids: dict[tuple[int, int], QuantizedLayer] | None = None,
 ) -> list[QuantizedLayer]:
-    """Customized quantized model: each layer on a fresh grid at its width."""
+    """Customized quantized model: each layer on a fresh grid at its width.
+
+    ``grids`` maps (layer index, width) to a layer already quantized from
+    these same weights under this policy. It is read first and filled with
+    what is missing, so the deliveries of one round quantize each layer once
+    per width and share the immutable result.
+    """
     widths = np.asarray(bit_widths, dtype=np.int64)
     if len(widths) != len(weights):
         raise ValueError("one bit width per layer is required")
-    return [quantize(w, int(bw), policy) for w, bw in zip(weights, widths)]
+    grids = {} if grids is None else grids
+    layers = []
+    for l, bw in enumerate(widths.tolist()):
+        if (l, bw) not in grids:
+            grids[l, bw] = quantize(weights[l], bw, policy)
+        layers.append(grids[l, bw])
+    return layers

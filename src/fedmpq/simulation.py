@@ -101,8 +101,9 @@ class ExperimentConfig:
             )
         if any(not (1 <= v <= 8) for v in self.budgets):
             raise ValueError("budgets must lie in [1, 8]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        # Written so that NaN fails it too.
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be positive and finite")
         if not (1 <= self.fpq_bits <= 8):
             raise ValueError("fpq_bits must lie in [1, 8]")
 
@@ -140,8 +141,8 @@ def dirichlet_partition(
     with concentration ``alpha``; smaller alpha means more skew. The whole
     draw is retried until every client holds at least one sample.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (0.0 < alpha < math.inf):
+        raise ValueError("alpha must be positive and finite")
     labels = np.asarray(labels)
     rng = np.random.default_rng([seed, _SALT_PARTITION])
     classes = np.unique(labels)
@@ -342,6 +343,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     global_model = state.global_model
     updates: list[ClientUpdate] = []
     uploaded: dict[int, int] = {}
+    grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by clients
     for n in sample_clients(config.clients, config.participation, round_index, config.seed):
         n = int(n)
         widths = _delivery_bits(state, arm, n)
@@ -353,7 +355,9 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         xs, ys = state.dataset.train_x[idx], state.dataset.train_y[idx]
         try:
             if arm.quantized:
-                layers = binary_representation(global_model.layers, widths, train_cfg.scale_policy)
+                layers = binary_representation(
+                    global_model.layers, widths, train_cfg.scale_policy, grids
+                )
                 trained = local_update(
                     Model(state.spec, layers, global_model.biases),
                     xs,

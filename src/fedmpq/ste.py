@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quant import QuantizedLayer
+from .quant import PLANE_WEIGHTS, QuantizedLayer
 
 # Mantissas from frexp live in [0.5, 1); those below sqrt(1/2) round the
 # exponent down, the rest (ties included) round up.
@@ -62,7 +62,7 @@ def ste_backward(grad_w: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
         raise ValueError(
             f"gradient shape {g.shape} does not match layer {(layer.rows, layer.cols)}"
         )
-    factors = layer.step * np.exp2(np.arange(layer.bit_width, dtype=np.float64))
+    factors = layer.step * PLANE_WEIGHTS[: layer.bit_width]
     return factors[:, None, None] * g[None, :, :]
 
 
@@ -74,9 +74,10 @@ def group_lasso(layer: QuantizedLayer) -> tuple[float, np.ndarray]:
     """
     norms = np.sqrt(layer.plane_counts())
     safe = np.where(norms > 0.0, norms, 1.0)
-    subgradient = layer.planes().astype(np.float64)
-    # Plane entries are 0 or 1, so scaling by 1/norm equals dividing by it.
-    subgradient *= (1.0 / safe)[:, None, None]
+    # Entry [i] of the masked codes is 0 or 2^i, and 2^i / (2^i * norm) is
+    # exactly 1 / norm, the quotient of a plane entry of 1 by the norm.
+    subgradient = layer.masked_codes().astype(np.float64)
+    subgradient *= (1.0 / (PLANE_WEIGHTS[: layer.bit_width] * safe))[:, None, None]
     return float(norms.sum()), subgradient
 
 
@@ -146,22 +147,32 @@ def fixed_point_delta(
     work = plane_steps(g, ctx.lr)
     whole = work >= 1.0
     steps = np.add.reduce(work, axis=0, where=whole)
-    p = np.add.reduce(work, axis=0, where=~whole)
+    # Steps are +0, powers of two or +inf, so the zeroed whole steps add
+    # nothing to p.
+    np.copyto(work, 0.0, where=whole)
+    p = work.sum(axis=0)
 
     # The steps are summed, so their buffer takes the weighted gradients: a
     # fresh full-size array per call costs more in page faults than in math.
-    significance = np.exp2(np.arange(b, dtype=np.float64))[:, None, None]
+    significance = PLANE_WEIGHTS[:b, None, None]
     nu = np.sign(np.multiply(significance, g, out=work).sum(axis=0))
-    nu = np.where(nu == 0.0, np.sign(gw), nu)
+    tie = nu == 0.0
+    if tie.any():
+        nu[tie] = np.sign(gw[tie])
 
     carry = np.floor(p)
     p -= carry
     steps += carry
-    steps += ctx.rng.random(p.shape) < p
+    draws = ctx.rng.random(p.shape)
+    steps += np.less(draws, p, out=draws)
     # q_i > b means a plane step of at least 2^b, so saturating entries
     # already sum past the cap.
     np.minimum(steps, (1 << b) - 1, out=steps)
-    return -nu * layer.step * steps
+    # -nu * step * steps, in place.
+    np.negative(nu, out=nu)
+    nu *= layer.step
+    nu *= steps
+    return nu
 
 
 def apply_update(layer: QuantizedLayer, delta: np.ndarray) -> QuantizedLayer:

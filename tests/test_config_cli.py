@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,29 @@ class TestMalformedInputs:
     def test_optimizer_setting_out_of_range(self, tmp_path, capsys, key, value):
         config = tmp_path / "bad.ini"
         config.write_text(MINIMAL.replace("batch_size = 16", f"batch_size = 16\n{key} = {value}"))
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = self.one_line_error(capsys)
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", "nan"),
+            ("alpha", "inf"),
+            ("cluster_std", "nan"),
+            ("cluster_std", "inf"),
+            ("cluster_std", "-1"),
+            ("feature_scale", "nan"),
+            ("feature_scale", "inf"),
+        ],
+    )
+    def test_data_setting_out_of_range(self, tmp_path, capsys, key, value):
+        # Unchecked, each of these fails only later, in the partition, the
+        # data or the first gradient, with a line that does not name it.
+        text = MINIMAL.replace("cluster_std = 1.0", "cluster_std = 1.0\nfeature_scale = 1.0")
+        config = tmp_path / "bad.ini"
+        config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE))
         assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         err = self.one_line_error(capsys)
         assert err.startswith("config error: ") and key in err

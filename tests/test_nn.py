@@ -415,6 +415,17 @@ class TestLocalUpdate:
         assert cfg.weight_decay > 0
         assert len(calls) == minibatches * len(model.layers)
 
+    def test_no_planes_on_the_hot_path(self, blob_shard, monkeypatch):
+        # The shift-add product and the Lasso subgradient read the masked
+        # codes; the binary planes are built only for wire bytes.
+        calls = []
+        planes = QuantizedLayer.planes
+        monkeypatch.setattr(QuantizedLayer, "planes", lambda layer: calls.append(layer) or planes(layer))
+        model, cfg = self.model(), self.cfg(lasso_coeff=0.01, prune_threshold=0.2)
+        local_update(model, blob_shard.train_x, blob_shard.train_y, cfg, np.random.default_rng(0))
+        assert cfg.lasso_coeff > 0
+        assert calls == []
+
 
 class TestLocalUpdateDense:
     def test_one_minibatch_is_one_sgd_step(self, blob_shard):

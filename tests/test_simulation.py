@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedmpq import server, simulation
+from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import ModelConfig, TrainConfig
 from fedmpq.server import pruning_growing, round_bitwidths
@@ -153,6 +156,52 @@ class TestRunRound:
             assert got == expected
             # and the plane payload itself is at least bits * params
             assert got >= sum(b * c for b, c in zip(update.bit_widths, m))
+
+
+# configs/blobs.ini as the cross-device benchmark workload runs it.
+CROSS_DEVICE = {
+    "clients": "200",
+    "participation": "0.5",
+    "local_epochs": "1",
+    "budgets": ",".join(["2", "4", "6", "8"] * 50),
+    "seed": "1",
+}
+
+
+def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
+    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", CROSS_DEVICE)
+    state = init_state(config)
+    quantized = []  # (real matrix, width) of every quantize call the server makes
+    quantize = server.quantize
+
+    def counted(w, bits, policy):
+        quantized.append((w, bits))
+        return quantize(w, bits, policy)
+
+    monkeypatch.setattr(server, "quantize", counted)
+    delivered = []  # (widths, layers, codes as delivered) per client
+    local_update = simulation.local_update
+
+    def spy(model, *args, **kwargs):
+        delivered.append((model.bit_widths, model.layers, [l.codes.copy() for l in model.layers]))
+        return local_update(model, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "local_update", spy)
+    for r in (1, 2):
+        global_layers = state.global_model.layers
+        quantized.clear()
+        delivered.clear()
+        run_round(state, config, r)
+        # Metrics quantize the new aggregate; delivery quantizes the old one.
+        calls = [(l, bits) for w, bits in quantized for l, g in enumerate(global_layers) if w is g]
+        assert sorted(calls) == sorted({(l, b) for widths, _, _ in delivered for l, b in enumerate(widths)})
+        shared = {}
+        for widths, layers, codes in delivered:
+            for layer, first, before in zip(layers, shared.setdefault(widths, layers), codes):
+                assert layer is first
+                assert not layer.codes.flags.writeable
+                np.testing.assert_array_equal(layer.codes, before)
+        assert len(shared) < len(delivered) == 100
 
 
 class TestReductionEquivalence:
