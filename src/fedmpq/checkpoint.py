@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quant import QuantizedLayer, plane_density
+from .quant import QuantizedLayer, average_bits, plane_density
 
 MAGIC = b"FMPQ"
 FORMAT_VERSION = 1
@@ -125,8 +125,8 @@ class CheckpointReport:
     @property
     def average_bit_width(self) -> float:
         """Parameter-count-weighted mean bit width across layers."""
-        total = sum(l.rows * l.cols for l in self.layers)
-        return sum(l.bit_width * l.rows * l.cols for l in self.layers) / total
+        widths = [l.bit_width for l in self.layers]
+        return average_bits(widths, [l.rows * l.cols for l in self.layers])
 
 
 def inspect_checkpoint(path: str | Path) -> CheckpointReport:

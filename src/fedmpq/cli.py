@@ -24,7 +24,7 @@ OUTPUT_ROOT_ENV = "FEDMPQ_OUTPUT_ROOT"
 def add_override_flags(parser: argparse.ArgumentParser, flags=OVERRIDE_KEYS) -> None:
     """One ``--flag-name`` option per OVERRIDE_KEYS entry in ``flags``; unset, it is None."""
     for flag in flags:
-        parser.add_argument("--" + flag.replace("_", "-"), dest=flag, help=OVERRIDE_KEYS[flag][2])
+        parser.add_argument("--" + flag.replace("_", "-"), dest=flag, help=OVERRIDE_KEYS[flag])
 
 
 def _load_config_with_overrides(args: argparse.Namespace):
@@ -43,20 +43,25 @@ def _load_partition_file(path: str, n_clients: int) -> list[np.ndarray]:
     """Shards from a file written by ``fedmpq partition``; index ranges are
     checked against the dataset when the run starts."""
     try:
-        record = json.loads(Path(path).read_text())
-        shards = [np.asarray(s, dtype=np.int64) for s in record["shards"]]
+        shards = json.loads(Path(path).read_text())["shards"]
     except (OSError, ValueError) as exc:
         raise PartitionError(f"cannot read partition file {path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise PartitionError(f"partition file {path} has no 'shards' list of lists") from exc
-    if any(s.ndim != 1 for s in shards):
-        raise PartitionError(f"partition file {path}: every shard must be a list of indices")
+    # JSON true and 1.5 would cast to indices 1 and 1 without a word.
+    if not isinstance(shards, list) or not all(
+        isinstance(s, list) and all(type(i) is int for i in s) for s in shards
+    ):
+        raise PartitionError(f"partition file {path}: every shard must be a list of integers")
     if len(shards) != n_clients:
         raise PartitionError(
             f"partition file holds {len(shards)} shards but the config has "
             f"{n_clients} clients"
         )
-    return shards
+    try:
+        return [np.asarray(s, dtype=np.int64) for s in shards]
+    except OverflowError as exc:
+        raise PartitionError(f"partition file {path}: {exc}") from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -14,13 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import MAX_BITS, QuantizedLayer, ScalePolicy, dequantize, quantize, wire_bits
+from .quant import (
+    MAX_BITS,
+    QuantizedLayer,
+    ScalePolicy,
+    average_bits,
+    dequantize,
+    quantize,
+    wire_bits,
+)
 
 
 def check_width_budget(client_id: int, bit_widths, param_counts, budget: float, what: str) -> None:
     """Average bits must fit the budget, one growing step of slack allowed."""
     m = np.asarray(param_counts, dtype=np.int64)
-    avg = float(np.asarray(bit_widths) @ m) / m.sum()
+    avg = average_bits(bit_widths, m)
     slack = float(m.max()) / m.sum()
     if avg > budget + slack + 1e-9:
         raise ValueError(
@@ -126,19 +134,14 @@ def pruning_growing(bits, delta_bits, param_counts, budget: float) -> np.ndarray
     if (b < 1).any() or (b > MAX_BITS).any():
         raise ValueError(f"bit widths must lie in [1, {MAX_BITS}]")
     order = np.argsort(-(m * (d + 1)), kind="stable")
-    total = int(m.sum())
-
-    def avg() -> float:
-        return float(b @ m) / total
-
-    v = avg()
+    v = average_bits(b, m)
     if v > budget:
         cur = 0
         while v > budget and cur < len(m):
             l = order[cur]
             if b[l] > 1:
                 b[l] -= 1
-                v = avg()
+                v = average_bits(b, m)
             else:
                 cur += 1
     elif v < budget:
@@ -147,7 +150,7 @@ def pruning_growing(bits, delta_bits, param_counts, budget: float) -> np.ndarray
             l = order[cur]
             if b[l] < MAX_BITS:
                 b[l] += 1
-                v = avg()
+                v = average_bits(b, m)
             else:
                 cur -= 1
     return b

@@ -33,7 +33,7 @@ from .nn import (
     local_update,
     local_update_dense,
 )
-from .quant import FP_WIRE_BITS, QuantizedLayer, plane_density, prune_msbs
+from .quant import FP_WIRE_BITS, QuantizedLayer, average_bits, plane_density, prune_msbs
 from .server import (
     ClientUpdate,
     aggregate,
@@ -205,15 +205,12 @@ class SimState:
 
     config: ExperimentConfig
     spec: ModelSpec
+    param_counts: np.ndarray  # int64, one per layer of spec
     dataset: Dataset
     shards: list[np.ndarray]
     global_model: Model
     global_bits: np.ndarray | None
     last_updates: dict[int, ClientUpdate]
-
-    @property
-    def param_counts(self) -> np.ndarray:
-        return np.asarray(self.spec.param_counts, dtype=np.int64)
 
 
 def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None) -> SimState:
@@ -239,6 +236,7 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
     return SimState(
         config=config,
         spec=spec,
+        param_counts=np.asarray(spec.param_counts, dtype=np.int64),
         dataset=dataset,
         shards=shards,
         global_model=init_dense_model(spec, rng),
@@ -247,8 +245,11 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
     )
 
 
-def _delivery_bits(state: SimState, arm: _ArmSettings, client: int) -> np.ndarray:
-    """Integer bit widths this client's model is delivered at this round."""
+def _delivery_bits(
+    state: SimState, arm: _ArmSettings, client: int, global_widths: np.ndarray | None
+) -> np.ndarray:
+    """Integer bit widths this client's model is delivered at this round, given
+    the round's rounded global widths (None before a quantized aggregate)."""
     n_layers = len(state.spec.layers)
     if arm.fixed_bits is not None:
         return np.full(n_layers, arm.fixed_bits, dtype=np.int64)
@@ -259,11 +260,10 @@ def _delivery_bits(state: SimState, arm: _ArmSettings, client: int) -> np.ndarra
         # Without server-side reallocation a client keeps whatever widths
         # its own pruning left behind.
         return default if last is None else np.asarray(last.bit_widths, dtype=np.int64)
-    if state.global_bits is None:
+    if global_widths is None:
         return default
     reductions = np.zeros(n_layers, dtype=np.int64) if last is None else last.reductions
-    widths = round_bitwidths(state.global_bits)
-    return pruning_growing(widths, reductions, state.param_counts, budget)
+    return pruning_growing(global_widths, reductions, state.param_counts, budget)
 
 
 def upload_cost_bits(update: ClientUpdate) -> int:
@@ -288,8 +288,8 @@ def _client_avg_bits(state: SimState, arm: _ArmSettings) -> tuple[float, ...]:
     for n in range(state.config.clients):
         fallback = arm.fixed_bits if arm.fixed_bits is not None else state.config.budgets[n]
         last = state.last_updates.get(n)
-        widths = np.full(len(m), fallback) if last is None else np.asarray(last.delivered_bits)
-        out.append(float(widths @ m) / float(m.sum()))
+        widths = np.full(len(m), fallback) if last is None else last.delivered_bits
+        out.append(average_bits(widths, m))
     return tuple(out)
 
 
@@ -344,9 +344,10 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     updates: list[ClientUpdate] = []
     uploaded: dict[int, int] = {}
     grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by clients
+    global_widths = None if state.global_bits is None else round_bitwidths(state.global_bits)
     for n in sample_clients(config.clients, config.participation, round_index, config.seed):
         n = int(n)
-        widths = _delivery_bits(state, arm, n)
+        widths = _delivery_bits(state, arm, n, global_widths)
         if arm.fixed_bits is None:
             check_width_budget(n, widths, m, config.budgets[n], "delivered widths")
 

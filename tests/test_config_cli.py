@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedmpq.checkpoint import write_checkpoint
-from fedmpq.cli import build_parser, main
+from fedmpq.cli import _load_partition_file, build_parser, main
 from fedmpq.config import (
     OVERRIDE_KEYS,
     ConfigError,
@@ -17,10 +18,11 @@ from fedmpq.config import (
     parse_config_text,
     serialize_config,
 )
-from fedmpq.quant import plane_density, quantize
+from fedmpq.quant import ScalePolicy, plane_density, quantize
 from fedmpq.simulation import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BLOBS = SRC.parent / "configs" / "blobs.ini"
 
 MINIMAL = """
 [experiment]
@@ -77,8 +79,14 @@ class TestConfigParsing:
             assert "line" in str(exc)
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="mystery"):
-            parse_config_text(MINIMAL + "\n[mystery]\nx = 1\n")
+        # configparser would merge [DEFAULT]'s keys into every section.
+        for text, section in (
+            (MINIMAL + "\n[mystery]\nx = 1\n", "mystery"),
+            ("[DEFAULT]\nseed = 3\n" + MINIMAL, "DEFAULT"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            assert str(err.value) == f"unknown section [{section}]"
 
     def test_bad_value_reports_key(self):
         bad = MINIMAL.replace("alpha = 0.5", "alpha = fast")
@@ -96,11 +104,74 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="at least 1"):
             parse_config_text(bad)
 
+    # SHA-256 prefixes of serialize_config's text. It is the manifest's
+    # `config`, so any change to it changes every run's `config_sha256`.
+    @pytest.mark.parametrize(
+        "source, flags, digest",
+        [
+            (None, {}, "355882613aecabef"),
+            (BLOBS, {}, "fd8d8981f593dc97"),
+            (
+                BLOBS,
+                {
+                    "seed": "2",
+                    "algorithm": "aqfl",
+                    "scale_policy": "max-abs",
+                    "partition": "x.json",
+                    "learning_rate": "0.05",
+                },
+                "d3922f2532a90f70",
+            ),
+        ],
+        ids=["defaults", "blobs", "blobs-with-flags"],
+    )
+    def test_serialized_text_is_pinned(self, source, flags, digest):
+        config = ExperimentConfig() if source is None else parse_config_text(source.read_text(), flags)
+        assert hashlib.sha256(serialize_config(config).encode()).hexdigest()[:16] == digest
+
     def test_overrides_rewrite_keys(self):
         text = apply_overrides(MINIMAL, {"alpha": "0.25", "budgets": "2,2,4,4,4,6,6,6,8,8", "clients": "10"})
         config = parse_config_text(text)
         assert config.alpha == 0.25
         assert config.budgets == (2, 2, 4, 4, 4, 6, 6, 6, 8, 8)
+
+
+# flag, raw value, the dataclass it lands in (None: ExperimentConfig itself),
+# and the parsed value; each differs from MINIMAL's.
+FLAG_CASES = [
+    ("algorithm", "aqfl", None, "aqfl"),
+    ("clients", "2", None, 2),
+    ("participation", "0.25", None, 0.25),
+    ("rounds", "4", None, 4),
+    ("budgets", "4", None, (4,)),
+    ("alpha", "0.25", None, 0.25),
+    ("seed", "7", None, 7),
+    ("fpq_bits", "4", None, 4),
+    ("use_lasso", "false", None, False),
+    ("use_msb_pruning", "no", None, False),
+    ("use_bit_reallocation", "off", None, False),
+    ("local_epochs", "2", "train", 2),
+    ("learning_rate", "0.05", "train", 0.05),
+    ("lasso_coeff", "0.5", "train", 0.5),
+    ("prune_threshold", "0.1", "train", 0.1),
+    ("scale_policy", "max-abs", "train", ScalePolicy.MAX_ABS),
+    ("partition", "x.json", "data", "x.json"),
+]
+
+
+def test_flag_cases_cover_every_override_flag():
+    assert [case[0] for case in FLAG_CASES] == list(OVERRIDE_KEYS)
+
+
+@pytest.mark.parametrize("flag, raw, section, value", FLAG_CASES, ids=[c[0] for c in FLAG_CASES])
+def test_override_flag_sets_its_field(flag, raw, section, value):
+    def field(config):
+        return getattr(config if section is None else getattr(config, section), flag)
+
+    assert field(parse_config_text(MINIMAL)) != value
+    # Two clients need two budgets.
+    companion = {"budgets": "8,8"} if flag == "clients" else {}
+    assert field(parse_config_text(MINIMAL, {flag: raw, **companion})) == value
 
 
 @pytest.fixture
@@ -160,14 +231,19 @@ class TestCmdRun:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "mystery_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [[], ["--seed", "2"]], ids=["file", "with-flag"])
-    def test_unknown_key_line_is_the_file_line(self, tmp_path, capsys, flags):
-        text = MINIMAL + "\nmystery = 3\n"
+    @pytest.mark.parametrize(
+        "flags, entry",
+        [([], "mystery = 3"), (["--seed", "2"], "mystery = 3"), ([], "Mystery = 3"), ([], "mystery: 3")],
+        ids=["file", "with-flag", "capitalised", "colon"],
+    )
+    def test_unknown_key_line_is_the_file_line(self, tmp_path, capsys, flags, entry):
+        text = MINIMAL + f"\n{entry}\n"
         path = tmp_path / "bad.ini"
         path.write_text(text)
-        line = text.splitlines().index("mystery = 3") + 1
+        line = text.splitlines().index(entry) + 1
         assert main(["run", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
-        assert f"unknown key 'mystery' in section [data] (line {line})" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown key 'mystery' in section [data] (line {line})\n"
 
     def test_bad_flag_value_names_the_flag(self, config_file, tmp_path, capsys):
         assert main(["run", str(config_file), "--out", str(tmp_path / "o"), "--seed", "x"]) == 2
@@ -313,6 +389,29 @@ class TestMalformedInputs:
         assert self.run_with_partition(config_file, tmp_path, {"shards": shards}, two_clients) == 1
         assert message in self.one_line_error(capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "shards, message",
+        [
+            ([[i + 0.5 for i in range(120)]], "every shard must be a list of integers"),
+            ([[True, *range(2, 60)], [0, *range(60, 120)]], "every shard must be a list of integers"),
+            ([[10**20]], "too large"),
+        ],
+        ids=["floats", "bools", "beyond-int64"],
+    )
+    def test_partition_indices_must_be_integers(self, config_file, tmp_path, capsys, shards, message):
+        # Cast to int64, 0.5 and true would pass as indices 0 and 1.
+        flags = ["--clients", str(len(shards)), "--budgets", ",".join(["8"] * len(shards))]
+        assert self.run_with_partition(config_file, tmp_path, {"shards": shards}, flags) == 1
+        err = self.one_line_error(capsys)
+        assert err.startswith("run failed: ") and message in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    def test_partition_empty_shard_is_int64(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"shards": [[], [0, 1]]}))
+        empty, full = _load_partition_file(str(path), 2)
+        assert empty.dtype == full.dtype == np.int64 and empty.size == 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_diverged_run_names_round_and_client(self, config_file, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from fedmpq.quant import (
     DensityProfile,
     QuantizedLayer,
     ScalePolicy,
+    average_bits,
     dequantize,
     plane_density,
     prune_msbs,
@@ -18,6 +21,15 @@ from fedmpq.quant import (
 
 def layer_from_code_grid(codes, scale, bits):
     return QuantizedLayer.from_codes(np.asarray(codes), scale, bits)
+
+
+class TestAverageBits:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 32), st.integers(1, 10**7)), min_size=1, max_size=6))
+    def test_exact_weighted_mean_rounded_once(self, pairs):
+        widths, counts = zip(*pairs)
+        exact = Fraction(sum(w * c for w, c in pairs), sum(counts))
+        assert average_bits(widths, counts) == float(exact)
 
 
 class TestDequantize:

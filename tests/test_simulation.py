@@ -127,7 +127,8 @@ class TestRunRound:
             expected = pruning_growing(
                 round_bitwidths(state.global_bits), zeros, state.param_counts, config.budgets[n]
             )
-            np.testing.assert_array_equal(_delivery_bits(state, _arm_settings(config), n), expected)
+            widths = round_bitwidths(state.global_bits)
+            np.testing.assert_array_equal(_delivery_bits(state, _arm_settings(config), n, widths), expected)
 
     def test_single_client_fp32_global_equals_local(self):
         config = small_config(algorithm="fp32", clients=1, budgets=(8,), rounds=1)
@@ -202,6 +203,27 @@ def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
                 assert not layer.codes.flags.writeable
                 np.testing.assert_array_equal(layer.codes, before)
         assert len(shared) < len(delivered) == 100
+
+
+def test_cross_device_rounds_global_widths_once_per_round(monkeypatch):
+    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", CROSS_DEVICE)
+    state = init_state(config)
+    calls = []
+    rounded = simulation.round_bitwidths
+
+    def counted(bits):
+        calls.append(bits)
+        return rounded(bits)
+
+    monkeypatch.setattr(simulation, "round_bitwidths", counted)
+    per_round = []
+    for r in (1, 2):
+        calls.clear()
+        run_round(state, config, r)
+        per_round.append(len(calls))
+    # Round 1 delivers at the budgets; from round 2 delivery rounds the old
+    # global widths once for all 100 clients. The metrics round the new ones.
+    assert per_round == [1, 2]
 
 
 class TestReductionEquivalence:
