@@ -1,7 +1,6 @@
 """Federated learning simulator with mixed-precision quantization."""
 
 from .quant import (
-    DensityProfile,
     QuantizedLayer,
     ScalePolicy,
     dequantize,
@@ -16,7 +15,6 @@ from .ste import (
     apply_update,
     fixed_point_delta,
     group_lasso,
-    power_of_two,
     sgd_step,
     ste_backward,
 )

@@ -140,7 +140,7 @@ def inspect_checkpoint(path: str | Path) -> CheckpointReport:
                 bit_width=layer.bit_width,
                 scale=layer.scale,
                 zero_point=layer.zero_point,
-                densities=plane_density(layer).values,
+                densities=plane_density(layer),
             )
         )
     return CheckpointReport(tuple(reports))

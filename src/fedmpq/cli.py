@@ -39,9 +39,10 @@ def _default_out_dir(config, config_path: str) -> Path:
     return root / f"{stem}-{config.algorithm}-seed{config.seed}"
 
 
-def _load_partition_file(path: str, n_clients: int) -> list[np.ndarray]:
-    """Shards from a file written by ``fedmpq partition``; index ranges are
-    checked against the dataset when the run starts."""
+def _load_partition_file(path: str) -> list[np.ndarray]:
+    """Shards from a file written by ``fedmpq partition``; the shard count and
+    the index ranges are checked against the config and the dataset when the
+    run starts."""
     try:
         shards = json.loads(Path(path).read_text())["shards"]
     except (OSError, ValueError) as exc:
@@ -53,11 +54,6 @@ def _load_partition_file(path: str, n_clients: int) -> list[np.ndarray]:
         isinstance(s, list) and all(type(i) is int for i in s) for s in shards
     ):
         raise PartitionError(f"partition file {path}: every shard must be a list of integers")
-    if len(shards) != n_clients:
-        raise PartitionError(
-            f"partition file holds {len(shards)} shards but the config has "
-            f"{n_clients} clients"
-        )
     try:
         return [np.asarray(s, dtype=np.int64) for s in shards]
     except OverflowError as exc:
@@ -74,7 +70,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         shards = None
         if config.data.partition:
-            shards = _load_partition_file(config.data.partition, config.clients)
+            shards = _load_partition_file(config.data.partition)
         # A diverging run is reported by the non-finite checks, as one line.
         with np.errstate(all="ignore"):
             metrics, _ = run_experiment(config, out_dir, shards, canonical)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,11 +92,12 @@ class ModelSpec:
         if shape != (self.num_classes,):
             raise ValueError("final layer width must equal num_classes")
 
-    @property
+    # Computed once per spec: the round loop reads them for every client.
+    @cached_property
     def param_counts(self) -> tuple[int, ...]:
         return tuple(s.param_count for s in self.layers)
 
-    @property
+    @cached_property
     def total_params(self) -> int:
         return sum(self.param_counts)
 

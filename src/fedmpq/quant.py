@@ -226,20 +226,9 @@ def shift_add_matmul(activations: np.ndarray, layer: QuantizedLayer) -> np.ndarr
     return layer.step * (acc - layer.zero_point * a.sum(axis=0)[None, :])
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    """Per-plane fraction of ones, kept as exact integer counts."""
-
-    ones: tuple[int, ...]
-    size: int
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(c / self.size for c in self.ones)
-
-
-def plane_density(layer: QuantizedLayer) -> DensityProfile:
-    return DensityProfile(tuple(layer.plane_counts()), layer.num_params)
+def plane_density(layer: QuantizedLayer) -> tuple[float, ...]:
+    """Fraction of ones in each plane, LSB plane first."""
+    return tuple(c / layer.num_params for c in layer.plane_counts())
 
 
 def prune_msbs(
@@ -257,7 +246,7 @@ def prune_msbs(
     """
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must lie in [0, 1]")
-    densities = plane_density(layer).values
+    densities = plane_density(layer)
     width = layer.bit_width
     while width > 1 and densities[width - 1] <= epsilon:
         width -= 1

@@ -33,7 +33,7 @@ from .nn import (
     local_update,
     local_update_dense,
 )
-from .quant import FP_WIRE_BITS, QuantizedLayer, average_bits, plane_density, prune_msbs
+from .quant import FP_WIRE_BITS, QuantizedLayer, ScalePolicy, average_bits, plane_density
 from .server import (
     ClientUpdate,
     aggregate,
@@ -200,17 +200,18 @@ def _arm_settings(config: ExperimentConfig) -> _ArmSettings:
 @dataclass
 class SimState:
     """What the server holds between rounds: the global model, its
-    fractional widths (None until a quantized round aggregates) and each
-    client's last upload, which records the widths it was delivered at."""
+    fractional widths (None until a quantized round aggregates) and, per
+    client and layer, the widths the client was last delivered and the
+    widths it last uploaded. A client that has not trained yet holds its
+    default widths in both: the arm's fixed width, otherwise its budget."""
 
-    config: ExperimentConfig
     spec: ModelSpec
-    param_counts: np.ndarray  # int64, one per layer of spec
     dataset: Dataset
     shards: list[np.ndarray]
     global_model: Model
     global_bits: np.ndarray | None
-    last_updates: dict[int, ClientUpdate]
+    delivered: np.ndarray  # int64, (clients, layers)
+    uploaded: np.ndarray  # int64, (clients, layers)
 
 
 def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None) -> SimState:
@@ -220,7 +221,9 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
             dataset.train_y, config.clients, config.alpha, config.seed
         )
     if len(shards) != config.clients:
-        raise ValueError("partition does not match the configured client count")
+        raise PartitionError(
+            f"partition holds {len(shards)} shards but the config has {config.clients} clients"
+        )
     n_train = len(dataset.train_y)
     for client, shard in enumerate(shards):
         if len(shard) and (shard.min() < 0 or shard.max() >= n_train):
@@ -233,37 +236,36 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
         raise PartitionError(f"training sample {i} is in {holders[i]} shards, not exactly one")
     spec = build_model_spec(config.model, dataset.input_shape, dataset.num_classes)
     rng = np.random.default_rng([config.seed, _SALT_INIT])
+    fixed = _arm_settings(config).fixed_bits
+    defaults = config.budgets if fixed is None else (fixed,) * config.clients
+    widths = np.repeat(np.asarray(defaults, dtype=np.int64)[:, None], len(spec.layers), axis=1)
     return SimState(
-        config=config,
         spec=spec,
-        param_counts=np.asarray(spec.param_counts, dtype=np.int64),
         dataset=dataset,
         shards=shards,
         global_model=init_dense_model(spec, rng),
         global_bits=None,
-        last_updates={},
+        delivered=widths,
+        uploaded=widths.copy(),
     )
 
 
 def _delivery_bits(
-    state: SimState, arm: _ArmSettings, client: int, global_widths: np.ndarray | None
+    state: SimState,
+    arm: _ArmSettings,
+    client: int,
+    budget: float,
+    global_widths: np.ndarray | None,
 ) -> np.ndarray:
     """Integer bit widths this client's model is delivered at this round, given
     the round's rounded global widths (None before a quantized aggregate)."""
-    n_layers = len(state.spec.layers)
-    if arm.fixed_bits is not None:
-        return np.full(n_layers, arm.fixed_bits, dtype=np.int64)
-    budget = state.config.budgets[client]
-    default = np.full(n_layers, budget, dtype=np.int64)
-    last = state.last_updates.get(client)
-    if not arm.use_bit_reallocation:
-        # Without server-side reallocation a client keeps whatever widths
-        # its own pruning left behind.
-        return default if last is None else np.asarray(last.bit_widths, dtype=np.int64)
-    if global_widths is None:
-        return default
-    reductions = np.zeros(n_layers, dtype=np.int64) if last is None else last.reductions
-    return pruning_growing(global_widths, reductions, state.param_counts, budget)
+    if not arm.use_bit_reallocation or global_widths is None:
+        # Without server-side reallocation, and before the first quantized
+        # aggregate, a client keeps the widths it last uploaded: what its own
+        # pruning left behind, or its defaults.
+        return state.uploaded[client].copy()
+    reductions = state.delivered[client] - state.uploaded[client]
+    return pruning_growing(global_widths, reductions, state.spec.param_counts, budget)
 
 
 def upload_cost_bits(update: ClientUpdate) -> int:
@@ -281,26 +283,17 @@ def upload_cost_bits(update: ClientUpdate) -> int:
     return total
 
 
-def _client_avg_bits(state: SimState, arm: _ArmSettings) -> tuple[float, ...]:
-    """Weighted average delivered width per client, budget until first delivery."""
-    m = state.param_counts
-    out = []
-    for n in range(state.config.clients):
-        fallback = arm.fixed_bits if arm.fixed_bits is not None else state.config.budgets[n]
-        last = state.last_updates.get(n)
-        widths = np.full(len(m), fallback) if last is None else last.delivered_bits
-        out.append(average_bits(widths, m))
-    return tuple(out)
+def _client_avg_bits(state: SimState) -> tuple[float, ...]:
+    """Weighted average delivered width per client."""
+    return tuple(average_bits(row, state.spec.param_counts) for row in state.delivered)
 
 
-def _global_densities(state: SimState) -> tuple[tuple[float, ...], ...]:
+def _global_densities(state: SimState, policy: ScalePolicy) -> tuple[tuple[float, ...], ...]:
     if state.global_bits is None:  # fp32, or no round aggregated yet
         return ()
     widths = round_bitwidths(state.global_bits)
-    layers = binary_representation(
-        state.global_model.layers, widths, state.config.train.scale_policy
-    )
-    return tuple(plane_density(layer).values for layer in layers)
+    layers = binary_representation(state.global_model.layers, widths, policy)
+    return tuple(plane_density(layer) for layer in layers)
 
 
 def _evaluate_global(state: SimState) -> tuple[float, float]:
@@ -309,21 +302,21 @@ def _evaluate_global(state: SimState) -> tuple[float, float]:
 
 def _round_metrics(
     state: SimState,
-    arm: _ArmSettings,
+    config: ExperimentConfig,
     round_index: int,
-    uploaded: dict[int, int],
+    upload_bits: dict[int, int],
     started: float,
 ) -> RoundMetrics:
     loss, acc = _evaluate_global(state)
-    per_client = tuple(uploaded.get(n, 0) for n in range(state.config.clients))
+    per_client = tuple(upload_bits.get(n, 0) for n in range(config.clients))
     bits = state.global_bits if state.global_bits is not None else ()
     return RoundMetrics(
         round_index=round_index,
         test_loss=loss,
         test_accuracy=acc,
         global_bits=tuple(float(x) for x in bits),
-        client_avg_bits=_client_avg_bits(state, arm),
-        plane_densities=_global_densities(state),
+        client_avg_bits=_client_avg_bits(state),
+        plane_densities=_global_densities(state, config.train.scale_policy),
         uploaded_bits=per_client,
         total_uploaded_bits=int(sum(per_client)),
         wall_time_sec=time.perf_counter() - started,
@@ -338,16 +331,16 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     """
     started = time.perf_counter()
     arm = _arm_settings(config)
-    m = state.param_counts
+    m = state.spec.param_counts
     train_cfg = replace(config.train, activation_bits=arm.act_bits)
     global_model = state.global_model
     updates: list[ClientUpdate] = []
-    uploaded: dict[int, int] = {}
+    upload_bits: dict[int, int] = {}  # wire cost per sampled client
     grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by clients
     global_widths = None if state.global_bits is None else round_bitwidths(state.global_bits)
     for n in sample_clients(config.clients, config.participation, round_index, config.seed):
         n = int(n)
-        widths = _delivery_bits(state, arm, n, global_widths)
+        widths = _delivery_bits(state, arm, n, config.budgets[n], global_widths)
         if arm.fixed_bits is None:
             check_width_budget(n, widths, m, config.budgets[n], "delivered widths")
 
@@ -385,15 +378,16 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         )
         if arm.fixed_bits is None:
             update.check_budget(m)
-        uploaded[n] = upload_cost_bits(update)
-        state.last_updates[n] = update
+        upload_bits[n] = upload_cost_bits(update)
+        state.delivered[n] = widths
+        state.uploaded[n] = update.bit_widths
         updates.append(update)
 
     weights, biases, bits = aggregate(updates)
     state.global_model = Model(state.spec, weights, biases)
     if arm.quantized:
         state.global_bits = bits
-    return _round_metrics(state, arm, round_index, uploaded, started)
+    return _round_metrics(state, config, round_index, upload_bits, started)
 
 
 def run_experiment(
@@ -409,10 +403,9 @@ def run_experiment(
     metrics.csv and rounds.jsonl; wall-clock timings go to a separate file.
     """
     state = init_state(config, shards)
-    arm = _arm_settings(config)
     metrics: list[RoundMetrics] = []
     if config.rounds == 0:
-        metrics.append(_round_metrics(state, arm, 0, {}, time.perf_counter()))
+        metrics.append(_round_metrics(state, config, 0, {}, time.perf_counter()))
     for r in range(1, config.rounds + 1):
         metrics.append(run_round(state, config, r))
         logger.info(
@@ -490,13 +483,3 @@ def _package_version() -> str:
     from . import __version__
 
     return __version__
-
-
-def count_prunable_msb_planes(updates: list[ClientUpdate], epsilon: float) -> int:
-    """Total planes across uploads that the MSB rule would drop at epsilon."""
-    total = 0
-    for update in updates:
-        for layer in update.layers:
-            _, width = prune_msbs(layer, epsilon)
-            total += layer.bit_width - width
-    return total

@@ -22,16 +22,6 @@ from .quant import PLANE_WEIGHTS, QuantizedLayer
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def power_of_two(x: float) -> float:
-    """Nearest power of two to a non-negative x, ties rounding up; 0 -> 0."""
-    if x < 0:
-        raise ValueError("power_of_two requires x >= 0")
-    if x == 0:
-        return 0.0
-    m, e = math.frexp(x)
-    return math.ldexp(1.0, e - (m < _SQRT_HALF))
-
-
 # Nearest power of two of |x| for a normal float64 x, done on its bits. A
 # mantissa field at or above that of 2 * sqrt(1/2) (a frexp mantissa of at
 # least sqrt(1/2)) rounds the exponent up, so adding the distance from there

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedmpq import simulation
 from fedmpq.checkpoint import inspect_checkpoint, read_checkpoint, write_checkpoint
 from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
@@ -33,15 +34,12 @@ from fedmpq.quant import (
     ScalePolicy,
     dequantize,
     plane_density,
+    prune_msbs,
     quantize,
     shift_add_matmul,
 )
 from fedmpq.server import pruning_growing
-from fedmpq.simulation import (
-    count_prunable_msb_planes,
-    metrics_csv_rows,
-    run_experiment,
-)
+from fedmpq.simulation import metrics_csv_rows, run_experiment
 from fedmpq.ste import (
     UpdateContext,
     fixed_point_delta,
@@ -219,8 +217,24 @@ def test_criterion_07_reduction_equivalence():
     report(7, "degenerate pipeline is trajectory-identical to the fixed-budget arm")
 
 
+def count_prunable_msb_planes(updates, epsilon: float) -> int:
+    """Total planes across uploads that the MSB rule would drop at epsilon."""
+    return sum(
+        layer.bit_width - prune_msbs(layer, epsilon)[1] for update in updates for layer in update.layers
+    )
+
+
 @pytest.mark.slow
-def test_criterion_08_sparsity_effect():
+def test_criterion_08_sparsity_effect(monkeypatch):
+    last_uploads = {}  # client id -> its last upload in the current experiment
+    upload_cost_bits = simulation.upload_cost_bits
+
+    def spy(update):
+        last_uploads[update.client_id] = update
+        return upload_cost_bits(update)
+
+    monkeypatch.setattr(simulation, "upload_cost_bits", spy)
+
     def prunable(lam, seed):
         config = _benchmark_config(
             "fedmpq",
@@ -235,8 +249,9 @@ def test_criterion_08_sparsity_effect():
             model=ModelConfig(kind="mlp", hidden=(16,)),
             data=DataConfig(train_samples=1200, test_samples=400, features=12, classes=10, cluster_std=1.0),
         )
-        _, state = run_experiment(config)
-        return count_prunable_msb_planes(list(state.last_updates.values()), 0.03)
+        last_uploads.clear()
+        run_experiment(config)
+        return count_prunable_msb_planes(list(last_uploads.values()), 0.03)
 
     with_lasso = [prunable(0.01, s) for s in (1, 2, 3, 4, 5)]
     without = [prunable(0.0, s) for s in (1, 2, 3, 4, 5)]
@@ -344,5 +359,5 @@ def test_criterion_11_checkpoint_format(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     inspected = inspect_checkpoint(first)
     for info, layer in zip(inspected.layers, layers):
-        assert info.densities == plane_density(layer).values
+        assert info.densities == plane_density(layer)
     report(11, "write-read-write is byte-identical; inspect densities match")

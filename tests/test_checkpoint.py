@@ -126,4 +126,4 @@ def test_inspect_average_and_densities(tmp_path):
     report = inspect_checkpoint(path)
     assert report.average_bit_width == pytest.approx(4.0)
     for info, layer in zip(report.layers, layers):
-        assert info.densities == plane_density(layer).values
+        assert info.densities == plane_density(layer)

@@ -277,7 +277,7 @@ class TestCmdInspect:
         write_checkpoint(path, [layer])
         main(["inspect", str(path)])
         out = capsys.readouterr().out
-        for d in plane_density(layer).values:
+        for d in plane_density(layer):
             assert f"{d:.4f}" in out
 
     def test_truncated_checkpoint_fails(self, tmp_path, capsys):
@@ -390,6 +390,14 @@ class TestMalformedInputs:
         assert message in self.one_line_error(capsys)
         assert not (tmp_path / "o").exists()
 
+    def test_partition_shard_count_must_match_clients(self, config_file, tmp_path, capsys):
+        shards = [list(range(0, 40)), list(range(40, 80)), list(range(80, 120))]
+        two_clients = ["--clients", "2", "--budgets", "8,8"]
+        assert self.run_with_partition(config_file, tmp_path, {"shards": shards}, two_clients) == 1
+        err = self.one_line_error(capsys)
+        assert err == "run failed: partition holds 3 shards but the config has 2 clients"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "shards, message",
         [
@@ -410,7 +418,7 @@ class TestMalformedInputs:
     def test_partition_empty_shard_is_int64(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"shards": [[], [0, 1]]}))
-        empty, full = _load_partition_file(str(path), 2)
+        empty, full = _load_partition_file(str(path))
         assert empty.dtype == full.dtype == np.int64 and empty.size == 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

@@ -81,6 +81,12 @@ class TestDirichletPartition:
         with pytest.raises(PartitionError, match="larger dataset or a larger alpha"):
             dirichlet_partition(labels, 10, alpha=0.5, seed=0, max_retries=50)
 
+    def test_init_state_rejects_a_wrong_shard_count(self):
+        config = small_config(clients=2, budgets=(8, 8))
+        shards = np.array_split(np.arange(config.data.train_samples), 3)
+        with pytest.raises(PartitionError, match="^partition holds 3 shards but the config has 2 clients$"):
+            init_state(config, shards)
+
 
 class TestSampleClients:
     def test_full_participation(self):
@@ -106,12 +112,11 @@ class TestRunRound:
     def test_budget_postcondition_every_round(self):
         config = small_config(rounds=4)
         state = init_state(config)
-        m = state.param_counts
+        m = np.asarray(state.spec.param_counts)
         slack = m.max() / m.sum()
         for r in range(1, 5):
             run_round(state, config, r)
-            for n, update in state.last_updates.items():
-                widths = np.asarray(update.delivered_bits)
+            for n, widths in enumerate(state.delivered):
                 avg = float(widths @ m) / m.sum()
                 assert avg <= config.budgets[n] + slack + 1e-9
                 assert widths.min() >= 1 and widths.max() <= 8
@@ -120,15 +125,18 @@ class TestRunRound:
         config = small_config(clients=8, budgets=(2, 3, 4, 5, 6, 7, 8, 8), participation=0.5)
         state = init_state(config)
         run_round(state, config, 1)
-        fresh = [n for n in range(config.clients) if n not in state.last_updates]
+        drawn = sample_clients(config.clients, config.participation, 1, config.seed)
+        fresh = [n for n in range(config.clients) if n not in drawn]
         assert fresh
         zeros = np.zeros(len(state.spec.layers), dtype=np.int64)
         for n in fresh:
+            budget = config.budgets[n]
             expected = pruning_growing(
-                round_bitwidths(state.global_bits), zeros, state.param_counts, config.budgets[n]
+                round_bitwidths(state.global_bits), zeros, state.spec.param_counts, budget
             )
             widths = round_bitwidths(state.global_bits)
-            np.testing.assert_array_equal(_delivery_bits(state, _arm_settings(config), n, widths), expected)
+            got = _delivery_bits(state, _arm_settings(config), n, budget, widths)
+            np.testing.assert_array_equal(got, expected)
 
     def test_single_client_fp32_global_equals_local(self):
         config = small_config(algorithm="fp32", clients=1, budgets=(8,), rounds=1)
@@ -141,12 +149,21 @@ class TestRunRound:
         )
         assert changed
 
-    def test_uploaded_bits_accounting(self):
+    def test_uploaded_bits_accounting(self, monkeypatch):
         config = small_config(rounds=1)
         state = init_state(config)
+        updates = []  # the uploads of the round, as aggregate receives them
+        aggregate = simulation.aggregate
+
+        def spy(ups):
+            updates.extend(ups)
+            return aggregate(ups)
+
+        monkeypatch.setattr(simulation, "aggregate", spy)
         run_round(state, config, 1)
-        m = state.param_counts
-        for n, update in state.last_updates.items():
+        m = state.spec.param_counts
+        assert updates
+        for update in updates:
             got = upload_cost_bits(update)
             header = 8 * 26
             expected = 0
@@ -285,7 +302,7 @@ class TestRunExperiment:
         )
         metrics, state = run_experiment(config)
         assert len(metrics[0].client_avg_bits) == 10
-        m = state.param_counts
+        m = np.asarray(state.spec.param_counts)
         for n in range(10):
             assert metrics[0].client_avg_bits[n] <= config.budgets[n] + m.max() / m.sum() + 1e-9
 

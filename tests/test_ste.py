@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmpq.quant import QuantizedLayer, dequantize, plane_density, quantize
+from fedmpq.quant import QuantizedLayer, dequantize, quantize
 from fedmpq.ste import (
     UpdateContext,
     apply_update,
     fixed_point_delta,
     group_lasso,
+    plane_steps,
     plane_update_powers,
-    power_of_two,
     sgd_step,
     ste_backward,
 )
@@ -31,7 +31,14 @@ def task_plane_grads(grad_w, layer):
     return out
 
 
+def power_of_two(x: float) -> float:
+    """plane_steps' rounding of one value at rate 1."""
+    return float(plane_steps(np.array([x]), 1.0)[0])
+
+
 class TestPowerOfTwo:
+    """The power-of-two rounding of the snapped update, as plane_steps does it."""
+
     def test_exact_powers_fixed(self):
         assert power_of_two(1.0) == 1.0
         assert power_of_two(0.25) == 0.25
@@ -45,9 +52,10 @@ class TestPowerOfTwo:
     def test_zero_maps_to_zero(self):
         assert power_of_two(0.0) == 0.0
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            power_of_two(-1.0)
+    def test_sign_is_dropped(self):
+        assert power_of_two(-0.3) == 0.25
+        assert power_of_two(-3.0) == 4.0
+        assert power_of_two(-0.0) == 0.0
 
     @given(st.floats(min_value=1e-300, max_value=1e300))
     def test_agrees_with_log2_rounding(self, x):
@@ -116,7 +124,7 @@ class TestGroupLasso:
     def test_value_is_sum_of_sqrt_counts(self):
         rng = np.random.default_rng(2)
         layer = quantize(rng.normal(size=(6, 6)), 4)
-        counts = plane_density(layer).ones
+        counts = layer.plane_counts()
         value, _ = group_lasso(layer)
         assert value == pytest.approx(sum(math.sqrt(c) for c in counts))
 
@@ -283,12 +291,12 @@ class TestSgdStep:
         # planes on average.
         rng = np.random.default_rng(8)
         layer = quantize(rng.normal(size=(20, 20)), 4)
-        before = sum(plane_density(layer).ones)
+        before = sum(layer.plane_counts())
         ctx = UpdateContext(lr=10.0, rng=np.random.default_rng(3))
         stepped = layer
         for _ in range(10):
             stepped = sgd_step(stepped, np.zeros((20, 20)), ctx, lasso_coeff=1.0)
-        after = sum(plane_density(stepped).ones)
+        after = sum(stepped.plane_counts())
         assert after < before
 
     def test_invariants_hold_after_step(self):
