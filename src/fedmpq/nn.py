@@ -226,7 +226,7 @@ class ForwardCache:
     spec: ModelSpec
     weights: list[np.ndarray]
     inputs: list[tuple[np.ndarray, tuple[int, ...]]]  # (matmul rows, layer input shape)
-    preacts: list[np.ndarray]
+    outputs: list[np.ndarray]  # ReLU output of each hidden layer, then the logits
 
 
 def forward(
@@ -239,13 +239,14 @@ def forward(
     Quantized layers multiply through the bit planes, real ones use a plain
     matmul. A conv layer multiplies its im2col patches. Hidden layers apply
     ReLU and, when ``act_bits`` is set, snap the result onto the unsigned
-    activation grid. The logits layer gets neither.
+    activation grid. The logits layer gets neither. ReLU runs in place, so
+    without the grid the cached output is also the next layer's input.
     """
     weights = [dequantize(l) for l in model.layers]
     spec = model.spec
     a = np.asarray(x, dtype=np.float64)
     inputs: list = []
-    preacts: list[np.ndarray] = []
+    outputs: list[np.ndarray] = []
     last = len(spec.layers) - 1
     for idx, (layer_spec, layer) in enumerate(zip(spec.layers, model.layers, strict=True)):
         conv = isinstance(layer_spec, Conv2dSpec)
@@ -271,14 +272,11 @@ def forward(
             oh = a.shape[2] - layer_spec.kernel_size + 1
             ow = a.shape[3] - layer_spec.kernel_size + 1
             z = z.reshape(len(a), oh, ow, layer_spec.out_channels).transpose(0, 3, 1, 2)
-        preacts.append(z)
         if idx < last:
-            a = np.maximum(z, 0.0)
-            if act_bits is not None:
-                a = quantize_activations(a, act_bits)
-        else:
-            a = z
-    return a, ForwardCache(spec, weights, inputs, preacts)
+            np.maximum(z, 0.0, out=z)
+        outputs.append(z)
+        a = z if idx == last or act_bits is None else quantize_activations(z, act_bits)
+    return a, ForwardCache(spec, weights, inputs, outputs)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -295,9 +293,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 def backward(cache: ForwardCache, dlogits: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Task-loss gradients per layer on the dequantized weights.
 
-    ReLU is differentiated at the stored pre-activations; the activation
-    grid is treated as identity (straight-through). The gradient with respect
-    to the network's input is not computed.
+    ReLU is differentiated through its stored output: relu(z) > 0 exactly
+    where z > 0, NaN and -0.0 included. The activation grid is treated as
+    identity (straight-through). The gradient with respect to the network's
+    input is not computed.
     """
     specs = cache.spec.layers
     n = len(specs)
@@ -317,8 +316,8 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> tuple[list[np.ndarray]
         da = delta @ cache.weights[idx]
         if conv:
             da = _col2im(da, x_shape, spec.kernel_size)
-        z_prev = cache.preacts[idx - 1]
-        delta = da.reshape(z_prev.shape) * (z_prev > 0.0)
+        relu = cache.outputs[idx - 1]
+        delta = da.reshape(relu.shape) * (relu > 0.0)
     return grads_w, grads_b
 
 

@@ -223,7 +223,10 @@ def shift_add_matmul(activations: np.ndarray, layer: QuantizedLayer) -> np.ndarr
     acc = np.zeros((layer.rows, a.shape[1]))
     for term in layer.masked_codes().astype(np.float64) @ a:
         acc += term
-    return layer.step * (acc - layer.zero_point * a.sum(axis=0)[None, :])
+    # step * (acc - z * colsum), in place: IEEE multiplication commutes.
+    acc -= layer.zero_point * a.sum(axis=0)
+    acc *= layer.step
+    return acc
 
 
 def plane_density(layer: QuantizedLayer) -> tuple[float, ...]:

@@ -25,7 +25,6 @@ from .data import DataConfig, Dataset, load_dataset
 from .nn import (
     Model,
     ModelConfig,
-    ModelSpec,
     TrainConfig,
     build_model_spec,
     evaluate,
@@ -205,7 +204,6 @@ class SimState:
     widths it last uploaded. A client that has not trained yet holds its
     default widths in both: the arm's fixed width, otherwise its budget."""
 
-    spec: ModelSpec
     dataset: Dataset
     shards: list[np.ndarray]
     global_model: Model
@@ -240,7 +238,6 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
     defaults = config.budgets if fixed is None else (fixed,) * config.clients
     widths = np.repeat(np.asarray(defaults, dtype=np.int64)[:, None], len(spec.layers), axis=1)
     return SimState(
-        spec=spec,
         dataset=dataset,
         shards=shards,
         global_model=init_dense_model(spec, rng),
@@ -265,7 +262,7 @@ def _delivery_bits(
         # pruning left behind, or its defaults.
         return state.uploaded[client].copy()
     reductions = state.delivered[client] - state.uploaded[client]
-    return pruning_growing(global_widths, reductions, state.spec.param_counts, budget)
+    return pruning_growing(global_widths, reductions, state.global_model.spec.param_counts, budget)
 
 
 def upload_cost_bits(update: ClientUpdate) -> int:
@@ -285,7 +282,7 @@ def upload_cost_bits(update: ClientUpdate) -> int:
 
 def _client_avg_bits(state: SimState) -> tuple[float, ...]:
     """Weighted average delivered width per client."""
-    return tuple(average_bits(row, state.spec.param_counts) for row in state.delivered)
+    return tuple(average_bits(row, state.global_model.spec.param_counts) for row in state.delivered)
 
 
 def _global_densities(state: SimState, policy: ScalePolicy) -> tuple[tuple[float, ...], ...]:
@@ -331,9 +328,9 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     """
     started = time.perf_counter()
     arm = _arm_settings(config)
-    m = state.spec.param_counts
-    train_cfg = replace(config.train, activation_bits=arm.act_bits)
     global_model = state.global_model
+    m = global_model.spec.param_counts
+    train_cfg = replace(config.train, activation_bits=arm.act_bits)
     updates: list[ClientUpdate] = []
     upload_bits: dict[int, int] = {}  # wire cost per sampled client
     grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by clients
@@ -353,7 +350,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
                     global_model.layers, widths, train_cfg.scale_policy, grids
                 )
                 trained = local_update(
-                    Model(state.spec, layers, global_model.biases),
+                    Model(global_model.spec, layers, global_model.biases),
                     xs,
                     ys,
                     train_cfg,
@@ -384,7 +381,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         updates.append(update)
 
     weights, biases, bits = aggregate(updates)
-    state.global_model = Model(state.spec, weights, biases)
+    state.global_model = Model(global_model.spec, weights, biases)
     if arm.quantized:
         state.global_bits = bits
     return _round_metrics(state, config, round_index, upload_bits, started)
@@ -456,7 +453,7 @@ def write_outputs(
     if state.global_bits is not None:
         widths = round_bitwidths(state.global_bits)
     else:
-        widths = np.full(len(state.spec.layers), 8, dtype=np.int64)
+        widths = np.full(len(state.global_model.spec.layers), 8, dtype=np.int64)
     layers = binary_representation(state.global_model.layers, widths, config.train.scale_policy)
     write_checkpoint(ckpt_dir / "final.fmpq", layers)
     np.savez(
@@ -472,7 +469,7 @@ def write_outputs(
             "config": config_text,
             "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
             "checkpoint_bits": [int(b) for b in widths],
-            "param_counts": [int(c) for c in state.spec.param_counts],
+            "param_counts": [int(c) for c in state.global_model.spec.param_counts],
             "files": ["metrics.csv", "rounds.jsonl", "timings.csv", "checkpoints/final.fmpq"],
             "version": _package_version(),
         }

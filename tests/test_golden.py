@@ -22,16 +22,12 @@ _spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workl
 workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
-# Overrides of configs/blobs.ini, as the CLI flags would give them.
+# Overrides of configs/blobs.ini, as the CLI flags would give them. The
+# cross-device shape is the benchmark workload's own.
 WIDER = {
     "fp32": {"algorithm": "fp32", "learning_rate": "0.05"},
     "no-reallocation": {"use_bit_reallocation": "false"},
-    "cross-device": {
-        "clients": "200",
-        "participation": "0.5",
-        "local_epochs": "1",
-        "budgets": ",".join(["2", "4", "6", "8"] * 50),
-    },
+    "cross-device": workloads.WORKLOADS["cross-device"].overrides,
 }
 OUTPUTS = ("metrics.csv", "rounds.jsonl", "checkpoints/final.fmpq")
 

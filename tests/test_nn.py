@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,24 @@ class TestEvaluate:
         model = Model(spec, [np.eye(3)], [np.zeros(3)])
         with pytest.raises(ValueError):
             evaluate(model, np.empty((0, 3)), np.empty(0, dtype=int))
+
+    def test_peak_memory_is_one_hidden_activation(self):
+        # The round-end evaluation's shape: 2,000 test rows in one batch
+        # through a 20-256-8-10 MLP. Its peak is set by the first hidden
+        # layer's (2000, 256) float64 activation; ReLU runs in place, so
+        # that layer holds one such array, not a pre-activation and a copy.
+        spec = ModelSpec((DenseSpec(20, 256), DenseSpec(256, 8), DenseSpec(8, 10)), (20,), 10)
+        rng = np.random.default_rng(0)
+        model = init_dense_model(spec, rng)
+        x = rng.normal(size=(2000, 20))
+        y = rng.integers(0, 10, size=2000)
+        tracemalloc.start()
+        try:
+            evaluate(model, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2000 * 256 * 8
 
     def test_repeat_evaluations_identical(self, blob_shard):
         spec = ModelSpec((DenseSpec(8, 4),), (8,), 4)

@@ -5,8 +5,13 @@ and ``_ref_backward`` (with ``_ref_im2col`` and ``_ref_col2im``) are the
 earlier implementations, kept verbatim bar names and docstrings: one matmul
 per binary plane, scaled afterwards; np.clip; fresh arrays throughout; and a
 backward pass that also computes the gradient with respect to the network's
-input, then drops it. Every result must match to the byte.
+input, then drops it. The references cache each layer's pre-activation
+(``_RefCache``, the earlier ``ForwardCache``); ``forward`` caches the ReLU
+output of each hidden layer instead, so those entries are compared against
+``np.maximum(ref_z, 0.0)``. Every result must match to the byte.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,6 +28,14 @@ from fedmpq.nn import (
     softmax_cross_entropy,
 )
 from fedmpq.quant import QuantizedLayer, dequantize, quantize, quantize_activations, shift_add_matmul
+
+
+@dataclass
+class _RefCache:
+    spec: ModelSpec
+    weights: list[np.ndarray]
+    inputs: list[tuple[np.ndarray, tuple[int, ...]]]
+    preacts: list[np.ndarray]
 
 
 def _ref_shift_add_matmul(activations: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
@@ -59,7 +72,7 @@ def _ref_forward(
     model: Model,
     x: np.ndarray,
     act_bits: int | None = 4,
-) -> tuple[np.ndarray, ForwardCache]:
+) -> tuple[np.ndarray, _RefCache]:
     weights = [dequantize(l) for l in model.layers]
     spec = model.spec
     a = np.asarray(x, dtype=np.float64)
@@ -97,7 +110,7 @@ def _ref_forward(
                 a = _ref_quantize_activations(a, act_bits)
         else:
             a = z
-    return a, ForwardCache(spec, weights, inputs, preacts)
+    return a, _RefCache(spec, weights, inputs, preacts)
 
 
 def _ref_col2im(dpatches: np.ndarray, x_shape: tuple[int, ...], k: int) -> np.ndarray:
@@ -212,7 +225,13 @@ def networks(draw):
 
 
 def _arrays(cache: ForwardCache) -> list[np.ndarray]:
-    return [*cache.weights, *(rows for rows, _ in cache.inputs), *cache.preacts]
+    return [*cache.weights, *(rows for rows, _ in cache.inputs), *cache.outputs]
+
+
+def _ref_arrays(cache: _RefCache) -> list[np.ndarray]:
+    *hidden, logits = cache.preacts
+    outputs = [np.maximum(z, 0.0) for z in hidden] + [logits]
+    return [*cache.weights, *(rows for rows, _ in cache.inputs), *outputs]
 
 
 @given(networks())
@@ -223,7 +242,7 @@ def test_forward_and_backward_match_reference(case):
     ref_logits, ref_cache = _ref_forward(model, x, act_bits)
     assert logits.tobytes() == ref_logits.tobytes()
     assert [s for _, s in cache.inputs] == [s for _, s in ref_cache.inputs]
-    for got, want in zip(_arrays(cache), _arrays(ref_cache), strict=True):
+    for got, want in zip(_arrays(cache), _ref_arrays(ref_cache), strict=True):
         assert got.tobytes() == want.tobytes()
     _, dlogits = softmax_cross_entropy(logits, labels)
     grads_w, grads_b = backward(cache, dlogits)

@@ -112,7 +112,7 @@ class TestRunRound:
     def test_budget_postcondition_every_round(self):
         config = small_config(rounds=4)
         state = init_state(config)
-        m = np.asarray(state.spec.param_counts)
+        m = np.asarray(state.global_model.spec.param_counts)
         slack = m.max() / m.sum()
         for r in range(1, 5):
             run_round(state, config, r)
@@ -128,11 +128,11 @@ class TestRunRound:
         drawn = sample_clients(config.clients, config.participation, 1, config.seed)
         fresh = [n for n in range(config.clients) if n not in drawn]
         assert fresh
-        zeros = np.zeros(len(state.spec.layers), dtype=np.int64)
+        zeros = np.zeros(len(state.global_model.spec.layers), dtype=np.int64)
         for n in fresh:
             budget = config.budgets[n]
             expected = pruning_growing(
-                round_bitwidths(state.global_bits), zeros, state.spec.param_counts, budget
+                round_bitwidths(state.global_bits), zeros, state.global_model.spec.param_counts, budget
             )
             widths = round_bitwidths(state.global_bits)
             got = _delivery_bits(state, _arm_settings(config), n, budget, widths)
@@ -161,7 +161,7 @@ class TestRunRound:
 
         monkeypatch.setattr(simulation, "aggregate", spy)
         run_round(state, config, 1)
-        m = state.spec.param_counts
+        m = state.global_model.spec.param_counts
         assert updates
         for update in updates:
             got = upload_cost_bits(update)
@@ -302,7 +302,7 @@ class TestRunExperiment:
         )
         metrics, state = run_experiment(config)
         assert len(metrics[0].client_avg_bits) == 10
-        m = np.asarray(state.spec.param_counts)
+        m = np.asarray(state.global_model.spec.param_counts)
         for n in range(10):
             assert metrics[0].client_avg_bits[n] <= config.budgets[n] + m.max() / m.sum() + 1e-9
 
