@@ -2,7 +2,6 @@
 
 from .quant import (
     QuantizedLayer,
-    ScalePolicy,
     dequantize,
     plane_density,
     prune_msbs,

@@ -13,12 +13,11 @@ checkpoint file is simply the records of all layers back to back.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .quant import QuantizedLayer, average_bits, plane_density
+from .quant import QuantizedLayer
 
 MAGIC = b"FMPQ"
 FORMAT_VERSION = 1
@@ -105,42 +104,3 @@ def read_checkpoint(path: str | Path) -> list[QuantizedLayer]:
     if not layers:
         raise CheckpointError("checkpoint contains no layer records")
     return layers
-
-
-@dataclass(frozen=True)
-class LayerReport:
-    index: int
-    rows: int
-    cols: int
-    bit_width: int
-    scale: float
-    zero_point: int
-    densities: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CheckpointReport:
-    layers: tuple[LayerReport, ...]
-
-    @property
-    def average_bit_width(self) -> float:
-        """Parameter-count-weighted mean bit width across layers."""
-        widths = [l.bit_width for l in self.layers]
-        return average_bits(widths, [l.rows * l.cols for l in self.layers])
-
-
-def inspect_checkpoint(path: str | Path) -> CheckpointReport:
-    reports = []
-    for index, layer in enumerate(read_checkpoint(path)):
-        reports.append(
-            LayerReport(
-                index=index,
-                rows=layer.rows,
-                cols=layer.cols,
-                bit_width=layer.bit_width,
-                scale=layer.scale,
-                zero_point=layer.zero_point,
-                densities=plane_density(layer),
-            )
-        )
-    return CheckpointReport(tuple(reports))

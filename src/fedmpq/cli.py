@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, inspect_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint
 from .config import OVERRIDE_KEYS, ConfigError, parse_config, serialize_config
 from .data import load_dataset
+from .quant import average_bits, plane_density
 from .simulation import PartitionError, dirichlet_partition, run_experiment
 
 
@@ -115,16 +116,17 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     try:
-        report = inspect_checkpoint(args.checkpoint)
+        layers = read_checkpoint(args.checkpoint)
     except (CheckpointError, OSError) as exc:
         print(f"inspect failed: {exc}", file=sys.stderr)
         return 1
+    average = average_bits([l.bit_width for l in layers], [l.num_params for l in layers])
     print(f"checkpoint: {args.checkpoint}")
-    print(f"layers: {len(report.layers)}  average bit-width: {report.average_bit_width:.3f}")
-    for layer in report.layers:
-        dens = ",".join(f"{d:.4f}" for d in layer.densities)
+    print(f"layers: {len(layers)}  average bit-width: {average:.3f}")
+    for index, layer in enumerate(layers):
+        dens = ",".join(f"{d:.4f}" for d in plane_density(layer))
         print(
-            f"layer {layer.index}: {layer.rows}x{layer.cols}  bits={layer.bit_width}  "
+            f"layer {index}: {layer.rows}x{layer.cols}  bits={layer.bit_width}  "
             f"scale={layer.scale:.6g}  zero_point={layer.zero_point}  densities={dens}"
         )
     return 0

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .data import DataConfig
 from .nn import ModelConfig, TrainConfig
-from .quant import ScalePolicy
 from .simulation import ExperimentConfig
 
 
@@ -53,7 +52,6 @@ _PARSERS = {
     "bool": _parse_bool,
     "tuple[int, ...]": _parse_int_tuple,
     "int | None": _parse_opt_int,
-    "ScalePolicy": lambda s: ScalePolicy(s.strip()),
 }
 
 _SECTIONS = {
@@ -88,7 +86,6 @@ OVERRIDE_KEYS = {
     "learning_rate": "SGD step size",
     "lasso_coeff": "regularizer weight",
     "prune_threshold": "MSB density threshold",
-    "scale_policy": "max-abs or range-covering",
     "partition": "pre-built shard file to reuse",
 }
 
@@ -177,8 +174,6 @@ def _fmt_value(value) -> str:
         return ",".join(str(v) for v in value)
     if value is None:
         return "none"
-    if isinstance(value, ScalePolicy):
-        return value.value
     if isinstance(value, float):
         return repr(value)
     return str(value)

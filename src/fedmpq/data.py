@@ -23,7 +23,6 @@ class DataConfig:
     features: int = 20
     classes: int = 10
     cluster_std: float = 1.2
-    feature_scale: float = 1.0
     train_images: str = ""
     train_labels: str = ""
     test_images: str = ""
@@ -33,11 +32,9 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in ("blobs", "idx"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        # Written so that NaN fails each check.
+        # Written so that NaN fails it too.
         if not (0.0 <= self.cluster_std < math.inf):
             raise ValueError("cluster_std must be non-negative and finite")
-        if not math.isfinite(self.feature_scale):
-            raise ValueError("feature_scale must be finite")
         if self.kind == "blobs":
             if self.classes < 2 or self.features < 1:
                 raise ValueError("blobs need at least 2 classes and 1 feature")
@@ -67,8 +64,7 @@ def make_blobs(cfg: DataConfig, seed: int) -> Dataset:
     """Gaussian clusters with one shared set of class centers.
 
     Labels are balanced up to rounding; train and test are drawn from the
-    same distribution with a held-out test set. ``feature_scale``
-    multiplies all features, leaving the class geometry unchanged.
+    same distribution with a held-out test set.
     """
     rng = np.random.default_rng([seed, _SALT_DATA])
     centers = rng.normal(0.0, 1.0, (cfg.classes, cfg.features))
@@ -76,13 +72,7 @@ def make_blobs(cfg: DataConfig, seed: int) -> Dataset:
     test_y = _balanced_labels(cfg.test_samples, cfg.classes, rng)
     train_x = centers[train_y] + rng.normal(0.0, cfg.cluster_std, (cfg.train_samples, cfg.features))
     test_x = centers[test_y] + rng.normal(0.0, cfg.cluster_std, (cfg.test_samples, cfg.features))
-    return Dataset(
-        cfg.feature_scale * train_x,
-        train_y,
-        cfg.feature_scale * test_x,
-        test_y,
-        cfg.classes,
-    )
+    return Dataset(train_x, train_y, test_x, test_y, cfg.classes)
 
 
 def _read_idx(path: str | Path, expect_magic: int) -> np.ndarray:

@@ -19,10 +19,8 @@ import numpy as np
 from .quant import (
     MAX_BITS,
     QuantizedLayer,
-    ScalePolicy,
     dequantize,
     prune_msbs,
-    quantize,
     quantize_activations,
     shift_add_matmul,
     wire_bits,
@@ -162,7 +160,6 @@ class TrainConfig:
     lasso_coeff: float = 0.01
     prune_threshold: float = 0.03
     activation_bits: int | None = 4
-    scale_policy: ScalePolicy = ScalePolicy.RANGE_COVERING
 
     def __post_init__(self):
         if self.local_epochs < 1:
@@ -191,15 +188,6 @@ def init_dense_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
         weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), layer.weight_shape))
         biases.append(np.zeros(layer.weight_shape[0]))
     return Model(spec, weights, biases)
-
-
-def quantize_model(
-    dense: Model,
-    bit_widths,
-    policy: ScalePolicy = ScalePolicy.RANGE_COVERING,
-) -> Model:
-    layers = [quantize(w, int(b), policy) for w, b in zip(dense.layers, bit_widths)]
-    return Model(dense.spec, layers, [b.copy() for b in dense.biases])
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -405,9 +393,7 @@ def local_update(
     lams = [cfg.lasso_coeff * c / spec.total_params if use_lasso else 0.0 for c in spec.param_counts]
     trained = _train(model, features, labels, cfg, rng, cfg.activation_bits, lams)
     if use_msb_pruning:
-        trained.layers = [
-            prune_msbs(layer, cfg.prune_threshold, cfg.scale_policy)[0] for layer in trained.layers
-        ]
+        trained.layers = [prune_msbs(layer, cfg.prune_threshold)[0] for layer in trained.layers]
     return trained
 
 

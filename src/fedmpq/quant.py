@@ -10,7 +10,6 @@ representable range is [-s*z/(2^b-1), s*(2^b-1-z)/(2^b-1)].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,29 +23,15 @@ _PLANE_MASKS = (1 << np.arange(MAX_BITS)).astype(np.uint8)
 PLANE_WEIGHTS = _PLANE_MASKS.astype(np.float64)
 
 
-class ScalePolicy(str, Enum):
-    """Rule used to derive the per-layer scale from the weight range.
-
-    MAX_ABS sets s to the largest absolute weight; the grid then covers
-    roughly [-s/2, s/2) and anything larger clips. RANGE_COVERING stretches
-    s by (2^b - 1) / 2^(b-1) so the lowest grid point lands exactly on
-    -max|W| and no weight clips.
-    """
-
-    MAX_ABS = "max-abs"
-    RANGE_COVERING = "range-covering"
-
-
-def scale_for(max_abs: float, bit_width: int, policy: ScalePolicy) -> float:
+def scale_for(max_abs: float, bit_width: int) -> float:
     """Scale for a layer whose largest absolute weight is ``max_abs``.
 
-    An all-zero layer would give scale 0; it gets the documented degenerate
-    scale 1.0 instead.
+    The scale is stretched by (2^b - 1) / 2^(b-1) so that the lowest grid
+    point lands exactly on -max|W| and no weight clips. An all-zero layer
+    would give scale 0; it gets the documented degenerate scale 1.0 instead.
     """
     if max_abs == 0.0:
         return 1.0
-    if policy is ScalePolicy.MAX_ABS:
-        return float(max_abs)
     return float(max_abs) * ((1 << bit_width) - 1) / (1 << (bit_width - 1))
 
 
@@ -173,11 +158,7 @@ def average_bits(widths, param_counts) -> float:
     return sum(w * c for w, c in zip(widths, counts, strict=True)) / sum(counts)
 
 
-def quantize(
-    weights: np.ndarray,
-    bit_width: int,
-    policy: ScalePolicy = ScalePolicy.RANGE_COVERING,
-) -> QuantizedLayer:
+def quantize(weights: np.ndarray, bit_width: int) -> QuantizedLayer:
     """Map a real matrix onto the nearest codes of a fresh b-bit grid.
 
     Weights are clipped to the representable range first; rounding is to
@@ -191,7 +172,7 @@ def quantize(
         raise ValueError(f"bit_width must be in [1, {MAX_BITS}]")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    scale = scale_for(float(np.abs(w).max()), bit_width, policy)
+    scale = scale_for(float(np.abs(w).max()), bit_width)
     n_max = (1 << bit_width) - 1
     z = 1 << (bit_width - 1)
     step = scale / n_max
@@ -234,11 +215,7 @@ def plane_density(layer: QuantizedLayer) -> tuple[float, ...]:
     return tuple(c / layer.num_params for c in layer.plane_counts())
 
 
-def prune_msbs(
-    layer: QuantizedLayer,
-    epsilon: float,
-    policy: ScalePolicy = ScalePolicy.RANGE_COVERING,
-) -> tuple[QuantizedLayer, int]:
+def prune_msbs(layer: QuantizedLayer, epsilon: float) -> tuple[QuantizedLayer, int]:
     """Drop top planes whose density is at most ``epsilon``, floor 1 bit.
 
     The minority entries that carried ones in a dropped plane lose that
@@ -257,7 +234,7 @@ def prune_msbs(
         return layer, width
     kept = (layer.codes & ((1 << width) - 1)).astype(np.int64)
     survivors = layer.step * (kept - layer.zero_point)
-    return quantize(survivors, width, policy), width
+    return quantize(survivors, width), width
 
 
 def quantize_activations(tensor: np.ndarray, bits: int) -> np.ndarray:

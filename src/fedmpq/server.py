@@ -17,7 +17,6 @@ import numpy as np
 from .quant import (
     MAX_BITS,
     QuantizedLayer,
-    ScalePolicy,
     average_bits,
     dequantize,
     quantize,
@@ -159,15 +158,14 @@ def pruning_growing(bits, delta_bits, param_counts, budget: float) -> np.ndarray
 def binary_representation(
     weights: list[np.ndarray],
     bit_widths,
-    policy: ScalePolicy = ScalePolicy.RANGE_COVERING,
     grids: dict[tuple[int, int], QuantizedLayer] | None = None,
 ) -> list[QuantizedLayer]:
     """Customized quantized model: each layer on a fresh grid at its width.
 
     ``grids`` maps (layer index, width) to a layer already quantized from
-    these same weights under this policy. It is read first and filled with
-    what is missing, so the deliveries of one round quantize each layer once
-    per width and share the immutable result.
+    these same weights. It is read first and filled with what is missing,
+    so the deliveries of one round quantize each layer once per width and
+    share the immutable result.
     """
     widths = np.asarray(bit_widths, dtype=np.int64)
     if len(widths) != len(weights):
@@ -176,6 +174,6 @@ def binary_representation(
     layers = []
     for l, bw in enumerate(widths.tolist()):
         if (l, bw) not in grids:
-            grids[l, bw] = quantize(weights[l], bw, policy)
+            grids[l, bw] = quantize(weights[l], bw)
         layers.append(grids[l, bw])
     return layers

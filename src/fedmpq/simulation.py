@@ -32,7 +32,7 @@ from .nn import (
     local_update,
     local_update_dense,
 )
-from .quant import FP_WIRE_BITS, QuantizedLayer, ScalePolicy, average_bits, plane_density
+from .quant import FP_WIRE_BITS, QuantizedLayer, average_bits, plane_density
 from .server import (
     ClientUpdate,
     aggregate,
@@ -198,16 +198,17 @@ def _arm_settings(config: ExperimentConfig) -> _ArmSettings:
 
 @dataclass
 class SimState:
-    """What the server holds between rounds: the global model, its
-    fractional widths (None until a quantized round aggregates) and, per
-    client and layer, the widths the client was last delivered and the
-    widths it last uploaded. A client that has not trained yet holds its
-    default widths in both: the arm's fixed width, otherwise its budget."""
+    """What the server holds between rounds: the global model, its integer
+    widths (the aggregated widths rounded; None until a quantized round
+    aggregates) and, per client and layer, the widths the client was last
+    delivered and the widths it last uploaded. A client that has not trained
+    yet holds its default widths in both: the arm's fixed width, otherwise
+    its budget."""
 
     dataset: Dataset
     shards: list[np.ndarray]
     global_model: Model
-    global_bits: np.ndarray | None
+    global_widths: np.ndarray | None  # int64, (layers,)
     delivered: np.ndarray  # int64, (clients, layers)
     uploaded: np.ndarray  # int64, (clients, layers)
 
@@ -241,28 +242,23 @@ def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None)
         dataset=dataset,
         shards=shards,
         global_model=init_dense_model(spec, rng),
-        global_bits=None,
+        global_widths=None,
         delivered=widths,
         uploaded=widths.copy(),
     )
 
 
-def _delivery_bits(
-    state: SimState,
-    arm: _ArmSettings,
-    client: int,
-    budget: float,
-    global_widths: np.ndarray | None,
-) -> np.ndarray:
-    """Integer bit widths this client's model is delivered at this round, given
-    the round's rounded global widths (None before a quantized aggregate)."""
-    if not arm.use_bit_reallocation or global_widths is None:
+def _delivery_bits(state: SimState, arm: _ArmSettings, client: int, budget: float) -> np.ndarray:
+    """Integer bit widths this client's model is delivered at this round."""
+    if not arm.use_bit_reallocation or state.global_widths is None:
         # Without server-side reallocation, and before the first quantized
         # aggregate, a client keeps the widths it last uploaded: what its own
         # pruning left behind, or its defaults.
         return state.uploaded[client].copy()
     reductions = state.delivered[client] - state.uploaded[client]
-    return pruning_growing(global_widths, reductions, state.global_model.spec.param_counts, budget)
+    return pruning_growing(
+        state.global_widths, reductions, state.global_model.spec.param_counts, budget
+    )
 
 
 def upload_cost_bits(update: ClientUpdate) -> int:
@@ -285,16 +281,11 @@ def _client_avg_bits(state: SimState) -> tuple[float, ...]:
     return tuple(average_bits(row, state.global_model.spec.param_counts) for row in state.delivered)
 
 
-def _global_densities(state: SimState, policy: ScalePolicy) -> tuple[tuple[float, ...], ...]:
-    if state.global_bits is None:  # fp32, or no round aggregated yet
+def _global_densities(state: SimState) -> tuple[tuple[float, ...], ...]:
+    if state.global_widths is None:  # fp32, or no round aggregated yet
         return ()
-    widths = round_bitwidths(state.global_bits)
-    layers = binary_representation(state.global_model.layers, widths, policy)
+    layers = binary_representation(state.global_model.layers, state.global_widths)
     return tuple(plane_density(layer) for layer in layers)
-
-
-def _evaluate_global(state: SimState) -> tuple[float, float]:
-    return evaluate(state.global_model, state.dataset.test_x, state.dataset.test_y, act_bits=None)
 
 
 def _round_metrics(
@@ -303,17 +294,20 @@ def _round_metrics(
     round_index: int,
     upload_bits: dict[int, int],
     started: float,
+    global_bits=(),
 ) -> RoundMetrics:
-    loss, acc = _evaluate_global(state)
+    """The round's metrics row; ``global_bits`` is the round's aggregated,
+    fractional width vector, empty when no quantized round aggregated."""
+    data = state.dataset
+    loss, acc = evaluate(state.global_model, data.test_x, data.test_y, act_bits=None)
     per_client = tuple(upload_bits.get(n, 0) for n in range(config.clients))
-    bits = state.global_bits if state.global_bits is not None else ()
     return RoundMetrics(
         round_index=round_index,
         test_loss=loss,
         test_accuracy=acc,
-        global_bits=tuple(float(x) for x in bits),
+        global_bits=tuple(float(x) for x in global_bits),
         client_avg_bits=_client_avg_bits(state),
-        plane_densities=_global_densities(state, config.train.scale_policy),
+        plane_densities=_global_densities(state),
         uploaded_bits=per_client,
         total_uploaded_bits=int(sum(per_client)),
         wall_time_sec=time.perf_counter() - started,
@@ -334,10 +328,9 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     updates: list[ClientUpdate] = []
     upload_bits: dict[int, int] = {}  # wire cost per sampled client
     grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by clients
-    global_widths = None if state.global_bits is None else round_bitwidths(state.global_bits)
     for n in sample_clients(config.clients, config.participation, round_index, config.seed):
         n = int(n)
-        widths = _delivery_bits(state, arm, n, config.budgets[n], global_widths)
+        widths = _delivery_bits(state, arm, n, config.budgets[n])
         if arm.fixed_bits is None:
             check_width_budget(n, widths, m, config.budgets[n], "delivered widths")
 
@@ -346,9 +339,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         xs, ys = state.dataset.train_x[idx], state.dataset.train_y[idx]
         try:
             if arm.quantized:
-                layers = binary_representation(
-                    global_model.layers, widths, train_cfg.scale_policy, grids
-                )
+                layers = binary_representation(global_model.layers, widths, grids)
                 trained = local_update(
                     Model(global_model.spec, layers, global_model.biases),
                     xs,
@@ -383,8 +374,10 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     weights, biases, bits = aggregate(updates)
     state.global_model = Model(global_model.spec, weights, biases)
     if arm.quantized:
-        state.global_bits = bits
-    return _round_metrics(state, config, round_index, upload_bits, started)
+        state.global_widths = round_bitwidths(bits)
+    else:
+        bits = ()  # real matrices: no grid widths to report
+    return _round_metrics(state, config, round_index, upload_bits, started, bits)
 
 
 def run_experiment(
@@ -450,11 +443,10 @@ def write_outputs(
 
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    if state.global_bits is not None:
-        widths = round_bitwidths(state.global_bits)
-    else:
+    widths = state.global_widths
+    if widths is None:
         widths = np.full(len(state.global_model.spec.layers), 8, dtype=np.int64)
-    layers = binary_representation(state.global_model.layers, widths, config.train.scale_policy)
+    layers = binary_representation(state.global_model.layers, widths)
     write_checkpoint(ckpt_dir / "final.fmpq", layers)
     np.savez(
         ckpt_dir / "final_biases.npz",

@@ -11,7 +11,7 @@ single minimum step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class UpdateContext:
     which feeds the sub-step Bernoulli draws. Momentum lives in nn._train."""
 
     lr: float
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    rng: np.random.Generator
 
 
 def ste_backward(grad_w: np.ndarray, layer: QuantizedLayer) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fedmpq import simulation
-from fedmpq.checkpoint import inspect_checkpoint, read_checkpoint, write_checkpoint
+from fedmpq.checkpoint import read_checkpoint, write_checkpoint
 from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import (
@@ -26,19 +26,17 @@ from fedmpq.nn import (
     backward,
     forward,
     init_dense_model,
-    quantize_model,
     softmax_cross_entropy,
 )
 from fedmpq.quant import (
     QuantizedLayer,
-    ScalePolicy,
     dequantize,
     plane_density,
     prune_msbs,
     quantize,
     shift_add_matmul,
 )
-from fedmpq.server import pruning_growing
+from fedmpq.server import binary_representation, pruning_growing
 from fedmpq.simulation import metrics_csv_rows, run_experiment
 from fedmpq.ste import (
     UpdateContext,
@@ -66,10 +64,9 @@ def test_criterion_01_quantization_round_trip():
     worst = 0.0
     for i in range(1000):
         bits = int(rng.integers(1, 9))
-        policy = list(ScalePolicy)[i % 2]
         rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
         w = rng.uniform(-2.0, 2.0, (rows, cols)) * 10.0 ** rng.integers(-3, 3)
-        layer = quantize(w, bits, policy)
+        layer = quantize(w, bits)
         clipped = np.clip(w, layer.min_value, layer.max_value)
         err = np.abs(dequantize(layer) - clipped).max()
         bound = 0.5 * layer.step + 1e-12
@@ -138,8 +135,8 @@ def test_criterion_05_gradient_check():
     rng = np.random.default_rng(1005)
     spec = ModelSpec((DenseSpec(6, 5), DenseSpec(5, 3)), (6,), 3)
     dense = init_dense_model(spec, rng)
-    qmodel = quantize_model(dense, (7, 7))
-    work = Model(spec, [dequantize(l) for l in qmodel.layers], qmodel.biases)
+    layers = binary_representation(dense.layers, (7, 7))
+    work = Model(spec, [dequantize(l) for l in layers], [b.copy() for b in dense.biases])
     x = rng.normal(size=(8, 6))
     y = rng.integers(0, 3, size=8)
     logits, cache = forward(work, x, None)
@@ -357,7 +354,6 @@ def test_criterion_11_checkpoint_format(tmp_path):
     write_checkpoint(first, layers)
     write_checkpoint(second, read_checkpoint(first))
     assert first.read_bytes() == second.read_bytes()
-    inspected = inspect_checkpoint(first)
-    for info, layer in zip(inspected.layers, layers):
-        assert info.densities == plane_density(layer)
-    report(11, "write-read-write is byte-identical; inspect densities match")
+    for read, layer in zip(read_checkpoint(first), layers, strict=True):
+        assert plane_density(read) == plane_density(layer)
+    report(11, "write-read-write is byte-identical; read densities match")

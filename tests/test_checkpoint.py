@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from fedmpq.checkpoint import (
     CheckpointError,
     _parse_record,
-    inspect_checkpoint,
     pack_layer_record,
     read_checkpoint,
     record_bytes,
     write_checkpoint,
 )
-from fedmpq.quant import plane_density, quantize
+from fedmpq.quant import quantize
 
 # A 7x5 4-bit layer: 35 entries leave 5 padding bits in each plane's last byte.
 RECORD = pack_layer_record(0, quantize(np.random.default_rng(11).normal(size=(7, 5)), 4))
@@ -116,14 +115,3 @@ def test_empty_file(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(CheckpointError, match="no layer records"):
         read_checkpoint(path)
-
-
-def test_inspect_average_and_densities(tmp_path):
-    rng = np.random.default_rng(4)
-    layers = [quantize(rng.normal(size=(6, 6)), 4), quantize(rng.normal(size=(2, 3)), 4)]
-    path = tmp_path / "m.fmpq"
-    write_checkpoint(path, layers)
-    report = inspect_checkpoint(path)
-    assert report.average_bit_width == pytest.approx(4.0)
-    for info, layer in zip(report.layers, layers):
-        assert info.densities == plane_density(layer)

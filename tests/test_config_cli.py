@@ -18,7 +18,7 @@ from fedmpq.config import (
     parse_config_text,
     serialize_config,
 )
-from fedmpq.quant import ScalePolicy, plane_density, quantize
+from fedmpq.quant import plane_density, quantize
 from fedmpq.simulation import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -109,18 +109,17 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "source, flags, digest",
         [
-            (None, {}, "355882613aecabef"),
-            (BLOBS, {}, "fd8d8981f593dc97"),
+            (None, {}, "f7e1962120e64303"),
+            (BLOBS, {}, "bb4bc1c18c0277f9"),
             (
                 BLOBS,
                 {
                     "seed": "2",
                     "algorithm": "aqfl",
-                    "scale_policy": "max-abs",
                     "partition": "x.json",
                     "learning_rate": "0.05",
                 },
-                "d3922f2532a90f70",
+                "bf3d1b0e1910be66",
             ),
         ],
         ids=["defaults", "blobs", "blobs-with-flags"],
@@ -154,7 +153,6 @@ FLAG_CASES = [
     ("learning_rate", "0.05", "train", 0.05),
     ("lasso_coeff", "0.5", "train", 0.5),
     ("prune_threshold", "0.1", "train", 0.1),
-    ("scale_policy", "max-abs", "train", ScalePolicy.MAX_ABS),
     ("partition", "x.json", "data", "x.json"),
 ]
 
@@ -244,6 +242,23 @@ class TestCmdRun:
         assert main(["run", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: unknown key 'mystery' in section [data] (line {line})\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("train", "scale_policy", "range-covering"), ("data", "feature_scale", "1.0")],
+        ids=["scale_policy", "feature_scale"],
+    )
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
+        # Keys the config no longer has fail as unknown, even at what was their default.
+        entry = f"{key} = {value}"
+        text = MINIMAL.replace(f"[{section}]\n", f"[{section}]\n{entry}\n")
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        line = text.splitlines().index(entry) + 1
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown key '{key}' in section [{section}] (line {line})\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_flag_value_names_the_flag(self, config_file, tmp_path, capsys):
         assert main(["run", str(config_file), "--out", str(tmp_path / "o"), "--seed", "x"]) == 2
@@ -479,16 +494,13 @@ class TestMalformedInputs:
             ("cluster_std", "nan"),
             ("cluster_std", "inf"),
             ("cluster_std", "-1"),
-            ("feature_scale", "nan"),
-            ("feature_scale", "inf"),
         ],
     )
     def test_data_setting_out_of_range(self, tmp_path, capsys, key, value):
         # Unchecked, each of these fails only later, in the partition, the
         # data or the first gradient, with a line that does not name it.
-        text = MINIMAL.replace("cluster_std = 1.0", "cluster_std = 1.0\nfeature_scale = 1.0")
         config = tmp_path / "bad.ini"
-        config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE))
+        config.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", MINIMAL, flags=re.MULTILINE))
         assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         err = self.one_line_error(capsys)
         assert err.startswith("config error: ") and key in err

@@ -21,11 +21,16 @@ from fedmpq.nn import (
     local_objective,
     local_update,
     local_update_dense,
-    quantize_model,
     softmax_cross_entropy,
 )
 from fedmpq.quant import QuantizedLayer, dequantize
+from fedmpq.server import binary_representation
 from fedmpq.ste import UpdateContext, group_lasso, sgd_step
+
+
+def quantized(dense: Model, widths) -> Model:
+    """The dense model on fresh grids at ``widths``, biases copied."""
+    return Model(dense.spec, binary_representation(dense.layers, widths), [b.copy() for b in dense.biases])
 
 
 def tiny_mlp(rng, dims=(6, 5, 4), bits=6):
@@ -35,7 +40,7 @@ def tiny_mlp(rng, dims=(6, 5, 4), bits=6):
         dims[-1],
     )
     dense = init_dense_model(spec, rng)
-    return dense, quantize_model(dense, [bits] * (len(dims) - 1))
+    return dense, quantized(dense, [bits] * (len(dims) - 1))
 
 
 def tiny_conv(rng, bits=6):
@@ -45,7 +50,7 @@ def tiny_conv(rng, bits=6):
         5,
     )
     dense = init_dense_model(spec, rng)
-    return dense, quantize_model(dense, [bits] * 3)
+    return dense, quantized(dense, [bits] * 3)
 
 
 def numeric_gradients(model: Model, x, y, act_bits=None, step=1e-3):
@@ -290,7 +295,7 @@ class TestLocalUpdate:
     def model(self, bits=5):
         spec = ModelSpec((DenseSpec(8, 10), DenseSpec(10, 4)), (8,), 4)
         dense = init_dense_model(spec, np.random.default_rng([5, 202]))
-        return quantize_model(dense, [bits, bits])
+        return quantized(dense, [bits, bits])
 
     def test_widths_unchanged_without_pruning_triggers(self, blob_shard):
         model = self.model()

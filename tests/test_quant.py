@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedmpq.quant import (
     QuantizedLayer,
-    ScalePolicy,
     average_bits,
     dequantize,
     plane_density,
@@ -91,34 +90,25 @@ class TestQuantize:
         np.testing.assert_array_equal(layer.codes, np.full((3, 4), 8))
         np.testing.assert_array_equal(dequantize(layer), np.zeros((3, 4)))
 
-    def test_max_abs_policy_grid(self):
-        # max|w| = 0.5 with the max-abs rule gives s = 0.5 and the grid
-        # {-1/3, -1/6, 0, 1/6} at two bits.
-        w = np.array([[0.5, -0.2, 0.0, 0.1]])
-        layer = quantize(w, 2, ScalePolicy.MAX_ABS)
-        assert layer.scale == 0.5
-        assert layer.zero_point == 2
-        grid = sorted(layer.step * (c - 2) for c in range(4))
-        np.testing.assert_allclose(grid, [-1 / 3, -1 / 6, 0.0, 1 / 6])
-
     def test_range_covering_policy_reaches_min(self):
         w = np.array([[-0.7, 0.3]])
-        layer = quantize(w, 3, ScalePolicy.RANGE_COVERING)
+        layer = quantize(w, 3)
         assert layer.min_value == pytest.approx(-0.7)
 
     def test_ties_round_to_larger_code(self):
-        # With s = 0.5 at 2 bits, step = 1/6; -1/12 is midway between
-        # codes 1 and 2 and must land on 2.
-        w = np.array([[0.5, -1 / 12]])
-        layer = quantize(w, 2, ScalePolicy.MAX_ABS)
+        # max|w| = 1 at 2 bits gives s = 1.5 and step = 1/2, so the grid is
+        # {-1, -1/2, 0, 1/2}; -1/4 is midway between codes 1 and 2 and must
+        # land on 2.
+        w = np.array([[1.0, -0.25]])
+        layer = quantize(w, 2)
+        assert layer.step == 0.5
         assert layer.codes[0, 1] == 2
 
-    @pytest.mark.parametrize("policy", list(ScalePolicy))
     @pytest.mark.parametrize("bits", [1, 2, 4, 8])
-    def test_round_trip_half_step_bound(self, policy, bits):
+    def test_round_trip_half_step_bound(self, bits):
         rng = np.random.default_rng(7)
         w = rng.uniform(-1, 1, (13, 9))
-        layer = quantize(w, bits, policy)
+        layer = quantize(w, bits)
         clipped = np.clip(w, layer.min_value, layer.max_value)
         err = np.abs(dequantize(layer) - clipped).max()
         assert err <= 0.5 * layer.step + 1e-12

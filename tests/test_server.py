@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmpq.quant import QuantizedLayer, ScalePolicy, dequantize, quantize
+from fedmpq.quant import QuantizedLayer, dequantize, quantize
 from fedmpq.server import (
     ClientUpdate,
     aggregate,
@@ -16,8 +16,8 @@ from fedmpq.server import (
 )
 
 
-def make_update(client_id, weights, bits, num_samples, budget, policy=ScalePolicy.RANGE_COVERING):
-    layers = tuple(quantize(w, b, policy) for w, b in zip(weights, bits))
+def make_update(client_id, weights, bits, num_samples, budget):
+    layers = tuple(quantize(w, b) for w, b in zip(weights, bits))
     biases = tuple(np.zeros(w.shape[0]) for w in weights)
     return ClientUpdate(
         client_id=client_id,

@@ -8,7 +8,7 @@ from fedmpq import server, simulation
 from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import ModelConfig, TrainConfig
-from fedmpq.server import pruning_growing, round_bitwidths
+from fedmpq.server import pruning_growing
 from fedmpq.simulation import (
     METRICS_COLUMNS,
     ExperimentConfig,
@@ -132,10 +132,9 @@ class TestRunRound:
         for n in fresh:
             budget = config.budgets[n]
             expected = pruning_growing(
-                round_bitwidths(state.global_bits), zeros, state.global_model.spec.param_counts, budget
+                state.global_widths, zeros, state.global_model.spec.param_counts, budget
             )
-            widths = round_bitwidths(state.global_bits)
-            got = _delivery_bits(state, _arm_settings(config), n, budget, widths)
+            got = _delivery_bits(state, _arm_settings(config), n, budget)
             np.testing.assert_array_equal(got, expected)
 
     def test_single_client_fp32_global_equals_local(self):
@@ -192,9 +191,9 @@ def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
     quantized = []  # (real matrix, width) of every quantize call the server makes
     quantize = server.quantize
 
-    def counted(w, bits, policy):
+    def counted(w, bits):
         quantized.append((w, bits))
-        return quantize(w, bits, policy)
+        return quantize(w, bits)
 
     monkeypatch.setattr(server, "quantize", counted)
     delivered = []  # (widths, layers, codes as delivered) per client
@@ -238,9 +237,9 @@ def test_cross_device_rounds_global_widths_once_per_round(monkeypatch):
         calls.clear()
         run_round(state, config, r)
         per_round.append(len(calls))
-    # Round 1 delivers at the budgets; from round 2 delivery rounds the old
-    # global widths once for all 100 clients. The metrics round the new ones.
-    assert per_round == [1, 2]
+    # The aggregated widths are rounded once, when they are aggregated;
+    # delivery to all 100 clients and the metrics read the rounded ones.
+    assert per_round == [1, 1]
 
 
 class TestReductionEquivalence:
