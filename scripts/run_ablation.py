@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Toggle study: how lasso, MSB pruning, and bit reallocation combine.
+"""Ablation study: how lasso, MSB pruning, and bit reallocation combine.
 
-Runs the fixed-budget baseline plus fedmpq variants with each subroutine
-switched on or off, mirroring the usual ablation layout. The setup is the
-INI config given (default configs/blobs.ini); the flags override single
-keys of it.
+Runs the fixed-budget baseline plus fedmpq variants, each of which turns
+off the stages it leaves out (lasso_coeff = 0, prune_threshold = none,
+use_bit_reallocation = false), mirroring the usual ablation layout. The
+setup is the INI config given (default configs/blobs.ini); the flags
+override single keys of it.
 """
 
 import argparse
@@ -21,18 +22,17 @@ from fedmpq.config import parse_config
 from fedmpq.simulation import run_experiment
 
 
-def toggles(lasso: bool, msb: bool, realloc: bool) -> dict[str, str]:
-    keys = ("use_lasso", "use_msb_pruning", "use_bit_reallocation")
-    return {key: str(on).lower() for key, on in zip(keys, (lasso, msb, realloc))}
-
+NO_LASSO = {"lasso_coeff": "0"}
+NO_MSB = {"prune_threshold": "none"}
+NO_REALLOC = {"use_bit_reallocation": "false"}
 
 VARIANTS = [
     ("baseline (fixed budgets)", "aqfl", {}),
-    ("lasso", "fedmpq", toggles(True, False, False)),
-    ("msb", "fedmpq", toggles(False, True, False)),
-    ("msb + lasso", "fedmpq", toggles(True, True, False)),
-    ("msb + realloc", "fedmpq", toggles(False, True, True)),
-    ("msb + lasso + realloc", "fedmpq", toggles(True, True, True)),
+    ("lasso", "fedmpq", {**NO_MSB, **NO_REALLOC}),
+    ("msb", "fedmpq", {**NO_LASSO, **NO_REALLOC}),
+    ("msb + lasso", "fedmpq", NO_REALLOC),
+    ("msb + realloc", "fedmpq", NO_LASSO),
+    ("msb + lasso + realloc", "fedmpq", {}),
 ]
 # Each flag overrides the OVERRIDE_KEYS entry of its name; unset, the config's value holds.
 FLAGS = ("rounds", "lasso_coeff", "prune_threshold")
@@ -47,11 +47,11 @@ def main() -> int:
     overrides = {flag: getattr(args, flag) for flag in FLAGS}
 
     print(f"{'variant':24s} {'median':>8s}  per-seed")
-    for name, algorithm, switches in VARIANTS:
+    for name, algorithm, stages_off in VARIANTS:
         accs = []
         for seed in args.seeds:
             config = parse_config(
-                args.config, {**overrides, **switches, "algorithm": algorithm, "seed": str(seed)}
+                args.config, {**overrides, **stages_off, "algorithm": algorithm, "seed": str(seed)}
             )
             metrics, _ = run_experiment(config)
             accs.append(metrics[-1].test_accuracy)

@@ -39,8 +39,9 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
-def _parse_opt_int(raw: str):
-    return None if raw.strip().lower() == "none" else int(raw)
+def _optional(parse):
+    """A parser that reads "none" as None and anything else with ``parse``."""
+    return lambda raw: None if raw.strip().lower() == "none" else parse(raw)
 
 
 # One parser per field annotation (the modules use postponed annotations,
@@ -51,7 +52,8 @@ _PARSERS = {
     "float": float,
     "bool": _parse_bool,
     "tuple[int, ...]": _parse_int_tuple,
-    "int | None": _parse_opt_int,
+    "int | None": _optional(int),
+    "float | None": _optional(float),
 }
 
 _SECTIONS = {
@@ -79,13 +81,11 @@ OVERRIDE_KEYS = {
     "alpha": "Dirichlet concentration",
     "seed": "master seed",
     "fpq_bits": "uniform width for fpq-k",
-    "use_lasso": "true/false",
-    "use_msb_pruning": "true/false",
     "use_bit_reallocation": "true/false",
     "local_epochs": "epochs per round",
     "learning_rate": "SGD step size",
-    "lasso_coeff": "regularizer weight",
-    "prune_threshold": "MSB density threshold",
+    "lasso_coeff": "regularizer weight; 0 trains without it",
+    "prune_threshold": "MSB density threshold; none turns MSB pruning off",
     "partition": "pre-built shard file to reuse",
 }
 

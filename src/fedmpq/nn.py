@@ -157,8 +157,8 @@ class TrainConfig:
     learning_rate: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    lasso_coeff: float = 0.01
-    prune_threshold: float = 0.03
+    lasso_coeff: float = 0.01  # 0 turns the group Lasso off
+    prune_threshold: float | None = 0.03  # None turns MSB pruning off
     activation_bits: int | None = 4
 
     def __post_init__(self):
@@ -177,8 +177,8 @@ class TrainConfig:
             raise ValueError(f"activation_bits must be none or in [1, {MAX_BITS}]")
         if not (0.0 <= self.lasso_coeff < math.inf):
             raise ValueError("lasso_coeff must be non-negative and finite")
-        if not (0.0 <= self.prune_threshold <= 1.0):
-            raise ValueError("prune_threshold must lie in [0, 1]")
+        if self.prune_threshold is not None and not (0.0 <= self.prune_threshold <= 1.0):
+            raise ValueError("prune_threshold must be none or lie in [0, 1]")
 
 
 def init_dense_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
@@ -376,23 +376,21 @@ def local_update(
     labels: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    *,
-    use_lasso: bool = True,
-    use_msb_pruning: bool = True,
 ) -> Model:
     """Client-side training on the grid: snapped steps, then MSB pruning.
 
-    Each layer's Lasso weight is lasso_coeff * M_l / M. Bit widths can only
-    shrink; the returned model's widths reflect any planes dropped at the
-    end. An empty shard leaves the model untouched.
+    Each layer's Lasso weight is lasso_coeff * M_l / M, so a zero coefficient
+    trains without the Lasso. Pruning runs unless prune_threshold is None.
+    Bit widths can only shrink; the returned model's widths reflect any
+    planes dropped at the end. An empty shard leaves the model untouched.
     """
     if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
         return model
     spec = model.spec
-    lams = [cfg.lasso_coeff * c / spec.total_params if use_lasso else 0.0 for c in spec.param_counts]
+    lams = [cfg.lasso_coeff * c / spec.total_params for c in spec.param_counts]
     trained = _train(model, features, labels, cfg, rng, cfg.activation_bits, lams)
-    if use_msb_pruning:
+    if cfg.prune_threshold is not None:
         trained.layers = [prune_msbs(layer, cfg.prune_threshold)[0] for layer in trained.layers]
     return trained
 

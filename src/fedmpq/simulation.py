@@ -16,6 +16,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,6 @@ class ExperimentConfig:
     alpha: float = 0.5
     seed: int = 0
     fpq_bits: int = 8
-    use_lasso: bool = True
-    use_msb_pruning: bool = True
     use_bit_reallocation: bool = True
     train: TrainConfig = field(default_factory=TrainConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -163,37 +162,37 @@ def dirichlet_partition(
 
 
 def sample_clients(n_clients: int, fraction: float, round_index: int, seed: int) -> np.ndarray:
-    """ceil(fraction * N) distinct ids, uniform without replacement."""
-    count = math.ceil(fraction * n_clients)
+    """ceil(fraction * N) distinct ids, uniform without replacement.
+
+    The product is taken on the decimal the fraction prints as, so 0.07 of
+    100 is 7 ids, not the 8 that the float product 7.000000000000001 gives.
+    """
+    count = math.ceil(Fraction(str(fraction)) * n_clients)
     rng = np.random.default_rng([seed, _SALT_SAMPLE, round_index])
     return np.sort(rng.choice(n_clients, size=count, replace=False))
 
 
 @dataclass(frozen=True)
 class _ArmSettings:
-    quantized: bool
-    act_bits: int | None
-    use_lasso: bool
-    use_msb_pruning: bool
+    train: TrainConfig  # the arm's client training, its Lasso and pruning resolved
     use_bit_reallocation: bool
     fixed_bits: int | None  # uniform width for every layer and client (32 for fp32), or None
 
+    @property
+    def quantized(self) -> bool:
+        return self.fixed_bits != FP_WIRE_BITS
+
 
 def _arm_settings(config: ExperimentConfig) -> _ArmSettings:
+    if config.algorithm == "fedmpq":
+        return _ArmSettings(config.train, config.use_bit_reallocation, None)
+    # The baselines train without the Lasso and without MSB pruning.
+    plain = replace(config.train, lasso_coeff=0.0, prune_threshold=None)
     if config.algorithm == "fp32":
-        return _ArmSettings(False, None, False, False, False, FP_WIRE_BITS)
+        return _ArmSettings(replace(plain, activation_bits=None), False, FP_WIRE_BITS)
     if config.algorithm == "fpq-k":
-        return _ArmSettings(True, config.fpq_bits, False, False, False, config.fpq_bits)
-    if config.algorithm == "aqfl":
-        return _ArmSettings(True, config.train.activation_bits, False, False, False, None)
-    return _ArmSettings(
-        True,
-        config.train.activation_bits,
-        config.use_lasso,
-        config.use_msb_pruning,
-        config.use_bit_reallocation,
-        None,
-    )
+        return _ArmSettings(replace(plain, activation_bits=config.fpq_bits), False, config.fpq_bits)
+    return _ArmSettings(plain, False, None)
 
 
 @dataclass
@@ -324,7 +323,6 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     arm = _arm_settings(config)
     global_model = state.global_model
     m = global_model.spec.param_counts
-    train_cfg = replace(config.train, activation_bits=arm.act_bits)
     updates: list[ClientUpdate] = []
     upload_bits: dict[int, int] = {}  # wire cost per sampled client
     grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by clients
@@ -340,17 +338,10 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         try:
             if arm.quantized:
                 layers = binary_representation(global_model.layers, widths, grids)
-                trained = local_update(
-                    Model(global_model.spec, layers, global_model.biases),
-                    xs,
-                    ys,
-                    train_cfg,
-                    rng,
-                    use_lasso=arm.use_lasso,
-                    use_msb_pruning=arm.use_msb_pruning,
-                )
+                model = Model(global_model.spec, layers, global_model.biases)
+                trained = local_update(model, xs, ys, arm.train, rng)
             else:
-                trained = local_update_dense(global_model, xs, ys, train_cfg, rng)
+                trained = local_update_dense(global_model, xs, ys, arm.train, rng)
             trained_arrays = list(trained.biases) + ([] if arm.quantized else trained.layers)
             if not all(np.isfinite(a).all() for a in trained_arrays):
                 raise ValueError("trained model is not finite")
@@ -462,7 +453,13 @@ def write_outputs(
             "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
             "checkpoint_bits": [int(b) for b in widths],
             "param_counts": [int(c) for c in state.global_model.spec.param_counts],
-            "files": ["metrics.csv", "rounds.jsonl", "timings.csv", "checkpoints/final.fmpq"],
+            "files": [
+                "metrics.csv",
+                "rounds.jsonl",
+                "timings.csv",
+                "checkpoints/final.fmpq",
+                "checkpoints/final_biases.npz",
+            ],
             "version": _package_version(),
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

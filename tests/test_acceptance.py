@@ -194,7 +194,7 @@ def test_criterion_07_reduction_equivalence():
         rounds=8,
         participation=0.5,
         train=TrainConfig(
-            local_epochs=2, batch_size=32, learning_rate=0.5, lasso_coeff=0.0, prune_threshold=0.0
+            local_epochs=2, batch_size=32, learning_rate=0.5, lasso_coeff=0.0, prune_threshold=None
         ),
         model=ModelConfig(kind="mlp", hidden=(32,)),
         data=DataConfig(train_samples=1500, test_samples=500, features=20, classes=10, cluster_std=1.4),
@@ -202,8 +202,6 @@ def test_criterion_07_reduction_equivalence():
     degenerate = _benchmark_config(
         "fedmpq",
         seed=5,
-        use_lasso=False,
-        use_msb_pruning=False,
         use_bit_reallocation=False,
         **shared,
     )
@@ -237,11 +235,9 @@ def test_criterion_08_sparsity_effect(monkeypatch):
             "fedmpq",
             seed=seed,
             rounds=10,
-            use_lasso=lam > 0,
-            use_msb_pruning=False,
             use_bit_reallocation=False,
             train=TrainConfig(
-                local_epochs=3, batch_size=32, learning_rate=0.5, lasso_coeff=lam, prune_threshold=0.03
+                local_epochs=3, batch_size=32, learning_rate=0.5, lasso_coeff=lam, prune_threshold=None
             ),
             model=ModelConfig(kind="mlp", hidden=(16,)),
             data=DataConfig(train_samples=1200, test_samples=400, features=12, classes=10, cluster_std=1.0),

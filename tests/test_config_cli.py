@@ -109,8 +109,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "source, flags, digest",
         [
-            (None, {}, "f7e1962120e64303"),
-            (BLOBS, {}, "bb4bc1c18c0277f9"),
+            (None, {}, "f88eaf5f1a4ce788"),
+            (BLOBS, {}, "18efbfeb79c13599"),
             (
                 BLOBS,
                 {
@@ -119,7 +119,7 @@ class TestConfigParsing:
                     "partition": "x.json",
                     "learning_rate": "0.05",
                 },
-                "bf3d1b0e1910be66",
+                "c4fa19c04f910bc3",
             ),
         ],
         ids=["defaults", "blobs", "blobs-with-flags"],
@@ -146,8 +146,6 @@ FLAG_CASES = [
     ("alpha", "0.25", None, 0.25),
     ("seed", "7", None, 7),
     ("fpq_bits", "4", None, 4),
-    ("use_lasso", "false", None, False),
-    ("use_msb_pruning", "no", None, False),
     ("use_bit_reallocation", "off", None, False),
     ("local_epochs", "2", "train", 2),
     ("learning_rate", "0.05", "train", 0.05),
@@ -172,6 +170,23 @@ def test_override_flag_sets_its_field(flag, raw, section, value):
     assert field(parse_config_text(MINIMAL, {flag: raw, **companion})) == value
 
 
+@pytest.mark.parametrize("how", ["ini", "flag", "serialized"])
+def test_prune_threshold_none(how, tmp_path):
+    # "none" is the one way to turn MSB pruning off.
+    if how == "ini":
+        config = parse_config_text(MINIMAL.replace("batch_size = 16", "batch_size = 16\nprune_threshold = none"))
+    elif how == "flag":
+        path = tmp_path / "exp.ini"
+        path.write_text(MINIMAL)
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), "--prune-threshold", "none"]) == 0
+        config = parse_config_text(json.loads((tmp_path / "o" / "manifest.json").read_text())["config"])
+    else:
+        text = serialize_config(parse_config_text(MINIMAL, {"prune_threshold": "none"}))
+        assert "prune_threshold = none" in text.splitlines()
+        config = parse_config_text(text)
+    assert config.train.prune_threshold is None
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "exp.ini"
@@ -185,9 +200,12 @@ class TestCmdRun:
         assert main(["run", str(config_file), "--out", str(out)]) == 0
         rows = (out / "metrics.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + one round
-        assert (out / "manifest.json").exists()
         assert (out / "rounds.jsonl").exists()
         assert (out / "checkpoints/final.fmpq").exists()
+        # The manifest lists every file the run wrote, apart from itself.
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert sorted(listed) == sorted(written - {"manifest.json"})
 
     def test_override_flags_accepted(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -245,8 +263,13 @@ class TestCmdRun:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("train", "scale_policy", "range-covering"), ("data", "feature_scale", "1.0")],
-        ids=["scale_policy", "feature_scale"],
+        [
+            ("train", "scale_policy", "range-covering"),
+            ("data", "feature_scale", "1.0"),
+            ("experiment", "use_lasso", "true"),
+            ("experiment", "use_msb_pruning", "true"),
+        ],
+        ids=["scale_policy", "feature_scale", "use_lasso", "use_msb_pruning"],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
         # Keys the config no longer has fail as unknown, even at what was their default.
@@ -474,6 +497,8 @@ class TestMalformedInputs:
             ("weight_decay", "-0.1"),
             ("lasso_coeff", "nan"),
             ("lasso_coeff", "inf"),
+            ("prune_threshold", "nan"),
+            ("prune_threshold", "1.5"),
             ("activation_bits", "0"),
             ("activation_bits", "9"),
         ],

@@ -1,10 +1,11 @@
 """Byte-identity gates: fixed configs must reproduce committed outputs.
 
 The benchmark's own configs and golden files (bench/workloads.py,
-bench/golden/) are only read here. Two further shapes of the round loop
-have their goldens in tests/golden/, and so has the fp32 arm at the
-weight-space rate 0.05 (at the shared 0.5 it collapses to chance): all three
-deterministic outputs of a 3-round run at seed 1.
+bench/golden/) are only read here. Three further shapes of the round loop
+have their goldens in tests/golden/: fedmpq without reallocation, fedmpq
+without the Lasso, and the cross-device shape; so has the fp32 arm at the
+weight-space rate 0.05 (at the shared 0.5 it collapses to chance). Each
+holds all three deterministic outputs of a 3-round run at seed 1.
 """
 
 import importlib.util
@@ -27,6 +28,7 @@ _spec.loader.exec_module(workloads)
 WIDER = {
     "fp32": {"algorithm": "fp32", "learning_rate": "0.05"},
     "no-reallocation": {"use_bit_reallocation": "false"},
+    "no-lasso": {"lasso_coeff": "0"},
     "cross-device": workloads.WORKLOADS["cross-device"].overrides,
 }
 OUTPUTS = ("metrics.csv", "rounds.jsonl", "checkpoints/final.fmpq")

@@ -351,7 +351,6 @@ class TestLocalUpdate:
                 blob_shard.train_y,
                 self.cfg(lasso_coeff=0.01),
                 np.random.default_rng([7, 3]),
-                use_lasso=True,
             )
             outs.append(trained)
         for a, b in zip(outs[0].layers, outs[1].layers):
@@ -379,8 +378,10 @@ class TestLocalUpdate:
         model = self.model()
         x, y = blob_shard.train_x, blob_shard.train_y
         half = (len(y) + 1) // 2
-        cfg = self.cfg(local_epochs=1, batch_size=half, lasso_coeff=0.01, weight_decay=0.01)
-        trained = local_update(model, x, y, cfg, np.random.default_rng(4), use_msb_pruning=False)
+        cfg = self.cfg(
+            local_epochs=1, batch_size=half, lasso_coeff=0.01, weight_decay=0.01, prune_threshold=None
+        )
+        trained = local_update(model, x, y, cfg, np.random.default_rng(4))
 
         rng = np.random.default_rng(4)
         order = rng.permutation(len(y))

@@ -100,6 +100,24 @@ class TestSampleClients:
     def test_ceil_rule(self):
         assert len(sample_clients(10, 0.55, 0, 0)) == 6
 
+    @pytest.mark.parametrize(
+        "n, fraction, count",
+        [(100, 0.07, 7), (25, 0.28, 7), (10, 0.01, 1), (10, 1.0, 10), (200, 0.5, 100)],
+    )
+    def test_count(self, n, fraction, count):
+        # The float products 0.07 * 100 and 0.28 * 25 overshoot 7; the last
+        # two rows are the benchmark's counts.
+        assert len(sample_clients(n, fraction, 0, 0)) == count
+
+    def test_exact_fractions_draw_exactly(self):
+        # Every k/n up to 200 clients that six decimals write exactly draws
+        # k ids; 31 of these pairs drew k + 1 when the count was the float
+        # product's ceiling.
+        for n in range(1, 201):
+            for k in range(1, n + 1):
+                if k * 10**6 % n == 0:
+                    assert len(sample_clients(n, float(f"{k / n:.6f}"), 0, 0)) == k, (n, k)
+
     def test_deterministic_per_round(self):
         a = sample_clients(10, 0.5, 2, 11)
         b = sample_clients(10, 0.5, 2, 11)
@@ -247,11 +265,9 @@ class TestReductionEquivalence:
         base = dict(rounds=3, participation=0.5)
         fed = small_config(
             algorithm="fedmpq",
-            use_lasso=False,
-            use_msb_pruning=False,
             use_bit_reallocation=False,
             train=TrainConfig(
-                local_epochs=1, batch_size=16, learning_rate=0.5, lasso_coeff=0.0, prune_threshold=0.0
+                local_epochs=1, batch_size=16, learning_rate=0.5, lasso_coeff=0.0, prune_threshold=None
             ),
             **base,
         )
