@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -329,9 +329,10 @@ def local_objective(
     return float(loss)
 
 
-def _train(model: Model, features, labels, cfg: TrainConfig, rng, act_bits, lams=()) -> Model:
+def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams=()) -> Model:
     """Epochs of shuffled minibatches, the one client loop of every arm.
 
+    The forward pass snaps hidden activations onto cfg.activation_bits.
     Each weight matrix and each bias keeps a weight-space momentum buffer
     m = momentum * m + (g + weight_decay * w). For a weight, w is the matrix
     ``forward`` dequantized; for a bias, the bias. A QuantizedLayer then
@@ -356,7 +357,7 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, act_bits, lams
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            logits, cache = forward(work, features[sel], act_bits)
+            logits, cache = forward(work, features[sel], cfg.activation_bits)
             _, dlogits = softmax_cross_entropy(logits, labels[sel])
             grads_w, grads_b = backward(cache, dlogits)
             for l, layer in enumerate(work.layers):
@@ -389,7 +390,7 @@ def local_update(
         return model
     spec = model.spec
     lams = [cfg.lasso_coeff * c / spec.total_params for c in spec.param_counts]
-    trained = _train(model, features, labels, cfg, rng, cfg.activation_bits, lams)
+    trained = _train(model, features, labels, cfg, rng, lams)
     if cfg.prune_threshold is not None:
         trained.layers = [prune_msbs(layer, cfg.prune_threshold)[0] for layer in trained.layers]
     return trained
@@ -402,11 +403,12 @@ def local_update_dense(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> Model:
-    """Full-precision counterpart of local_update: plain momentum SGD."""
+    """Full-precision counterpart of local_update: plain momentum SGD on
+    real activations, whatever cfg.activation_bits says."""
     if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
         return model
-    return _train(model, features, labels, cfg, rng, None)
+    return _train(model, features, labels, replace(cfg, activation_bits=None), rng)
 
 
 def evaluate(

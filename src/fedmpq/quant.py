@@ -9,6 +9,7 @@ representable range is [-s*z/(2^b-1), s*(2^b-1-z)/(2^b-1)].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,11 @@ class QuantizedLayer:
     def __post_init__(self):
         if not (1 <= self.bit_width <= MAX_BITS):
             raise ValueError(f"bit_width must be in [1, {MAX_BITS}], got {self.bit_width}")
-        if not (np.isfinite(self.scale) and self.scale > 0):
+        if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.codes.dtype != np.uint8 or self.codes.ndim != 2 or self.codes.size == 0:
             raise ValueError("codes must be a uint8 matrix of at least 1x1")
-        if self.codes.max() >> self.bit_width:
+        if np.maximum.reduce(self.codes, axis=None) >> self.bit_width:
             raise ValueError(f"codes out of range for {self.bit_width}-bit layer")
         self.codes.flags.writeable = False
 
@@ -112,8 +113,9 @@ class QuantizedLayer:
         return np.packbits(flat, axis=1, bitorder="little")
 
     def values(self) -> np.ndarray:
-        # Widen first: uint8 minus the zero point would wrap around.
-        return self.step * (self.codes.astype(np.int64) - self.zero_point)
+        # A float zero point widens the codes, where a uint8 difference would
+        # wrap around; code minus zero point is a small integer, so exact.
+        return self.step * (self.codes - float(self.zero_point))
 
     @classmethod
     def from_planes(cls, planes: np.ndarray, scale: float) -> "QuantizedLayer":
@@ -129,7 +131,10 @@ class QuantizedLayer:
     def from_codes(cls, codes: np.ndarray, scale: float, bit_width: int) -> "QuantizedLayer":
         codes = np.asarray(codes)
         # Reject what the uint8 cast would wrap; the width check is the constructor's.
-        if codes.size and (codes.min() < 0 or codes.max() >= 1 << MAX_BITS):
+        if codes.size and (
+            np.minimum.reduce(codes, axis=None) < 0
+            or np.maximum.reduce(codes, axis=None) >= 1 << MAX_BITS
+        ):
             raise ValueError(f"codes out of range for {bit_width}-bit layer")
         return cls(codes.astype(np.uint8), bit_width, float(scale))
 
@@ -205,7 +210,7 @@ def shift_add_matmul(activations: np.ndarray, layer: QuantizedLayer) -> np.ndarr
     for term in layer.masked_codes().astype(np.float64) @ a:
         acc += term
     # step * (acc - z * colsum), in place: IEEE multiplication commutes.
-    acc -= layer.zero_point * a.sum(axis=0)
+    acc -= layer.zero_point * np.add.reduce(a, axis=0)
     acc *= layer.step
     return acc
 
@@ -246,7 +251,7 @@ def quantize_activations(tensor: np.ndarray, bits: int) -> np.ndarray:
     if not (1 <= bits <= MAX_BITS):
         raise ValueError(f"bits must be in [1, {MAX_BITS}]")
     arr = np.asarray(tensor, dtype=np.float64)
-    peak = np.abs(arr).max() if arr.size else 0.0
+    peak = np.maximum.reduce(np.abs(arr), axis=None) if arr.size else 0.0
     if peak == 0.0:
         return arr
     levels = (1 << bits) - 1

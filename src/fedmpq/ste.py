@@ -56,19 +56,23 @@ def ste_backward(grad_w: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
     return factors[:, None, None] * g[None, :, :]
 
 
-def group_lasso(layer: QuantizedLayer) -> tuple[float, np.ndarray]:
-    """Sum of per-plane l2 norms and its subgradient.
+def group_lasso(layer: QuantizedLayer, weight: float = 1.0) -> tuple[float, np.ndarray]:
+    """Sum of per-plane l2 norms and its subgradient, times ``weight``.
 
     For a binary plane the norm is sqrt(popcount); the subgradient of an
-    all-zero plane is taken to be zero.
+    all-zero plane is taken to be zero. The returned sum is not weighted.
     """
     norms = np.sqrt(layer.plane_counts())
-    safe = np.where(norms > 0.0, norms, 1.0)
-    # Entry [i] of the masked codes is 0 or 2^i, and 2^i / (2^i * norm) is
-    # exactly 1 / norm, the quotient of a plane entry of 1 by the norm.
+    # A norm is 0 or at least 1, so the maximum only lifts the empty planes.
+    # Entry [i] of the masked codes is 0 or 2^i, and scaling by 2^i is exact,
+    # so 2^i * (1 / (2^i * norm) * weight) is (1 / norm) * weight to the bit:
+    # the weighted quotient of a plane entry of 1 (weight / (2^i * norm),
+    # rounded once, is not).
+    factors = 1.0 / (PLANE_WEIGHTS[: layer.bit_width] * np.maximum(norms, 1.0))
+    factors *= weight
     subgradient = layer.masked_codes().astype(np.float64)
-    subgradient *= (1.0 / (PLANE_WEIGHTS[: layer.bit_width] * safe))[:, None, None]
-    return float(norms.sum()), subgradient
+    subgradient *= factors[:, None, None]
+    return float(np.add.reduce(norms)), subgradient
 
 
 def plane_steps(plane_grads: np.ndarray, lr: float) -> np.ndarray:
@@ -122,6 +126,10 @@ def fixed_point_delta(
     terms added) the sub-step total can reach 1; whole steps are then
     carried into the integer part so the Bernoulli probability stays in
     [0, 1). The magnitude never exceeds s.
+
+    When no plane step reaches one grid step (most calls), the mask, the
+    masked sum and the cap are skipped: each sub-step is at most 1/2, so
+    the total is at most floor(b/2) + 1 <= 2^b - 1 and the cap cannot bind.
     """
     g = np.asarray(plane_grads, dtype=np.float64)
     b = layer.bit_width
@@ -135,29 +143,33 @@ def fixed_point_delta(
         raise ValueError("grad_w shape does not match the layer")
 
     work = plane_steps(g, ctx.lr)
-    whole = work >= 1.0
-    steps = np.add.reduce(work, axis=0, where=whole)
-    # Steps are +0, powers of two or +inf, so the zeroed whole steps add
-    # nothing to p.
-    np.copyto(work, 0.0, where=whole)
-    p = work.sum(axis=0)
+    any_whole = np.maximum.reduce(work, axis=None) >= 1.0
+    if any_whole:
+        whole = work >= 1.0
+        whole_steps = np.add.reduce(work, axis=0, where=whole)
+        # Steps are +0, powers of two or +inf, so the zeroed whole steps add
+        # nothing to p.
+        np.copyto(work, 0.0, where=whole)
+    p = np.add.reduce(work, axis=0)
 
     # The steps are summed, so their buffer takes the weighted gradients: a
     # fresh full-size array per call costs more in page faults than in math.
     significance = PLANE_WEIGHTS[:b, None, None]
-    nu = np.sign(np.multiply(significance, g, out=work).sum(axis=0))
+    nu = np.sign(np.add.reduce(np.multiply(significance, g, out=work), axis=0))
     tie = nu == 0.0
-    if tie.any():
+    if np.logical_or.reduce(tie, axis=None):
         nu[tie] = np.sign(gw[tie])
 
-    carry = np.floor(p)
-    p -= carry
-    steps += carry
+    steps = np.floor(p)
+    p -= steps
     draws = ctx.rng.random(p.shape)
     steps += np.less(draws, p, out=draws)
-    # q_i > b means a plane step of at least 2^b, so saturating entries
-    # already sum past the cap.
-    np.minimum(steps, (1 << b) - 1, out=steps)
+    if any_whole:
+        # Whole numbers below the cap add exactly in any order, and a sum
+        # that rounds is past the cap either way. q_i > b means a plane step
+        # of at least 2^b, so saturating entries already sum past the cap.
+        steps += whole_steps
+        np.minimum(steps, (1 << b) - 1, out=steps)
     # -nu * step * steps, in place.
     np.negative(nu, out=nu)
     nu *= layer.step
@@ -176,8 +188,9 @@ def apply_update(layer: QuantizedLayer, delta: np.ndarray) -> QuantizedLayer:
         raise ValueError("delta shape does not match the layer")
     ratio = d / layer.step
     k = np.rint(ratio)
-    # Written so that NaN fails it too.
-    if not np.abs(ratio - k).max() <= 1e-6:
+    # |ratio - k| in the ratio's buffer; written so that NaN fails it too.
+    np.subtract(ratio, k, out=ratio)
+    if not np.maximum.reduce(np.abs(ratio, out=ratio), axis=None) <= 1e-6:
         raise ValueError("delta is not a finite integer number of grid steps")
     # Whole numbers stay exact in float64; np.clip's Python wrapper costs
     # more here than the two ufuncs.
@@ -211,11 +224,9 @@ def sgd_step(
     if lasso_coeff < 0:
         raise ValueError("lasso_coeff must be non-negative")
     g = np.asarray(grad_w, dtype=np.float64)
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise ValueError("gradient is not finite")
     plane_g = ste_backward(g, layer)
     if lasso_coeff > 0.0:
-        _, lasso = group_lasso(layer)
-        lasso *= lasso_coeff
-        plane_g += lasso
+        plane_g += group_lasso(layer, lasso_coeff)[1]
     return apply_update(layer, fixed_point_delta(g, plane_g, ctx, layer))

@@ -49,6 +49,19 @@ class TestDequantize:
         layer = layer_from_code_grid([[0, 1, 2, 3]], 3.0, 2)
         np.testing.assert_array_equal(dequantize(layer), [[-2.0, -1.0, 0.0, 1.0]])
 
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_every_code_matches_widened_integers(self, bits):
+        # Every code of the width, on steps whose products round (their
+        # mantissas use more than 20 bits): the float zero point must give
+        # the bits of the int64 difference.
+        codes = np.arange(1 << bits, dtype=np.uint8).reshape(1, -1)
+        for scale in (0.1, 1 / 3, np.pi, 7.3, 1234.567):
+            layer = QuantizedLayer(codes, bits, scale)
+            mantissa, _ = np.frexp(layer.step)
+            assert mantissa * 2**20 % 1 != 0
+            want = layer.step * (codes.astype(np.int64) - layer.zero_point)
+            assert layer.values().tobytes() == want.tobytes()
+
 
 class TestLayerInvariants:
     def test_zero_point_is_forced(self):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from fedmpq.ste import (
     apply_update,
     fixed_point_delta,
     group_lasso,
+    plane_steps,
     plane_update_powers,
     sgd_step,
     ste_backward,
@@ -226,3 +228,70 @@ def test_sgd_step_matches_reference(case, seed, lasso_coeff, decay):
         assert m.tobytes() == ref.momentum_buffer.tobytes()
         assert ctx.rng.bit_generator.state == ref.rng.bit_generator.state
         layer = got
+
+
+@st.composite
+def weighted_layers(draw):
+    """A layer of any width 1-8, some planes empty, and a per-layer Lasso
+    weight lasso_coeff * M_l / M as local_update forms it."""
+    bits = draw(st.integers(1, 8))
+    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, 1 << bits, (rows, cols)) & rng.integers(0, 1 << bits)
+    layer = QuantizedLayer.from_codes(codes, rng.uniform(0.1, 4.0), bits)
+    coeff = draw(st.floats(1e-6, 10.0) | st.sampled_from([1e-3, 0.01, 0.1]))
+    total = draw(st.integers(1, 10**6))
+    return layer, coeff * draw(st.integers(1, total)) / total
+
+
+@given(weighted_layers())
+@settings(max_examples=500, deadline=None)
+def test_group_lasso_weight_folds_bit_for_bit(case):
+    # sgd_step adds group_lasso(layer, w)[1] where the reference added
+    # w times the unweighted subgradient; the two must agree to the byte.
+    layer, weight = case
+    value, sub = group_lasso(layer, weight)
+    ref_value, ref_sub = _ref_group_lasso(layer)
+    assert value == ref_value
+    assert sub.tobytes() == (ref_sub * weight).tobytes()
+
+
+def _planes_of(steps, signs) -> np.ndarray:
+    """Plane gradients, shape (b, 1, cols), whose snapped steps at lr 1 are
+    ``steps`` (one row per plane), signed per entry."""
+    return np.asarray(steps, dtype=np.float64)[:, None, :] * np.asarray(signs, dtype=np.float64)
+
+
+# Named inputs for both paths of fixed_point_delta: (bits, per-plane steps,
+# per-entry signs). The sub-step-only ones carry whole steps out of the
+# sub-step total without any plane step reaching 1; one plane alone (b = 1)
+# cannot carry, so that case covers the largest single sub-step.
+FIXED_CASES = {
+    "sub-step-b1": (1, [[0.5, 0.25, 2.0**-20, 0.0]], [1, -1, 1, -1]),
+    "carry-b2": (2, [[0.5, 0.5, 0.25, 0.0], [0.5, 0.25, 0.5, 0.5]], [-1, 1, 1, -1]),
+    "carry-b8-all-halves": (8, [[0.5] * 4] * 8, [1, -1, -1, 1]),
+    "carry-b8-mixed": (8, [[0.5, 0.25, 0.125, 0.0]] * 4 + [[0.5, 0.5, 2.0**-9, 0.25]] * 4, [1, 1, -1, -1]),
+    "whole-step": (4, [[1.0, 0.5, 0.25, 0.0], [2.0, 0.5, 0.0, 0.125], [0.0, 4.0, 0.5, 0.0], [0.5, 0.0, 0.5, 0.5]],
+                   [1, -1, 1, -1]),
+    "clip-hit": (3, [[16.0, 0.5, 0.25, 0.0], [0.5, 1.0, 0.0, 0.125], [0.0, 0.5, 64.0, 0.25]], [-1, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_CASES))
+def test_fixed_point_delta_named_cases(name):
+    bits, steps, signs = FIXED_CASES[name]
+    plane_grads = _planes_of(steps, signs)
+    cols = plane_grads.shape[2]
+    layer = QuantizedLayer.from_codes(np.arange(cols)[None, :] % (1 << bits), 1.7, bits)
+    grad_w = np.asarray(signs, dtype=np.float64)[None, :]
+    assert plane_steps(plane_grads, 1.0).tobytes() == np.abs(plane_grads).tobytes()
+    sub_steps_only = np.abs(plane_grads).max() < 1.0
+    assert sub_steps_only == name.startswith(("sub-step", "carry"))
+    if name.startswith("carry"):
+        assert np.abs(plane_grads).sum(axis=0).max() >= 1.0
+    for seed in range(5):
+        ctx, ref = UpdateContext(1.0, np.random.default_rng(seed)), _ref_ctx(1.0, seed)
+        got = fixed_point_delta(grad_w, plane_grads, ctx, layer)
+        want = _ref_fixed_point_delta(grad_w, plane_grads, ref, layer)
+        assert got.tobytes() == want.tobytes()
+        assert ctx.rng.bit_generator.state == ref.rng.bit_generator.state
