@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,6 +99,14 @@ class ModelSpec:
     @cached_property
     def total_params(self) -> int:
         return sum(self.param_counts)
+
+    @cached_property
+    def flat_layout(self) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+        """Where each bias, then each weight matrix, sits in one flat vector."""
+        sizes = [s.weight_shape[0] for s in self.layers] + list(self.param_counts)
+        bounds = (0, *accumulate(sizes))
+        regions = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+        return regions[: len(self.layers)], regions[len(self.layers) :]
 
 
 @dataclass(frozen=True)
@@ -269,27 +278,36 @@ def forward(
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient with respect to the logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
     n = len(labels)
-    loss = float(-logp[np.arange(n), labels].mean())
-    grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    picked = (np.arange(n), labels)
+    loss = -float(np.add.reduce(z[picked]) / n)
+    grad = np.exp(z, out=z)
+    grad[picked] -= 1.0
+    grad /= n
+    return loss, grad
 
 
-def backward(cache: ForwardCache, dlogits: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def backward(
+    cache: ForwardCache,
+    dlogits: np.ndarray,
+    grads_w: list[np.ndarray] | None = None,
+    grads_b: list[np.ndarray] | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Task-loss gradients per layer on the dequantized weights.
 
     ReLU is differentiated through its stored output: relu(z) > 0 exactly
     where z > 0, NaN and -0.0 included. The activation grid is treated as
     identity (straight-through). The gradient with respect to the network's
-    input is not computed.
+    input is not computed. Given ``grads_w`` and ``grads_b`` (one array per
+    layer, of the weight and bias shapes), the gradients are written there;
+    without them they are allocated.
     """
     specs = cache.spec.layers
     n = len(specs)
-    grads_w: list[np.ndarray] = [np.empty(0)] * n
-    grads_b: list[np.ndarray] = [np.empty(0)] * n
+    grads_w = [None] * n if grads_w is None else list(grads_w)
+    grads_b = [None] * n if grads_b is None else list(grads_b)
     delta = dlogits
     for idx in range(n - 1, -1, -1):
         spec = specs[idx]
@@ -297,8 +315,8 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> tuple[list[np.ndarray]
         rows, x_shape = cache.inputs[idx]
         if conv:
             delta = delta.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels)
-        grads_w[idx] = delta.T @ rows
-        grads_b[idx] = delta.sum(axis=0)
+        grads_w[idx] = np.matmul(delta.T, rows, out=grads_w[idx])
+        grads_b[idx] = np.add.reduce(delta, axis=0, out=grads_b[idx])
         if idx == 0:
             break
         da = delta @ cache.weights[idx]
@@ -333,24 +351,44 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams=()) -> Mo
     """Epochs of shuffled minibatches, the one client loop of every arm.
 
     The forward pass snaps hidden activations onto cfg.activation_bits.
-    Each weight matrix and each bias keeps a weight-space momentum buffer
-    m = momentum * m + (g + weight_decay * w). For a weight, w is the matrix
-    ``forward`` dequantized; for a bias, the bias. A QuantizedLayer then
-    takes the snapped step ``sgd_step(layer, m, ctx, lams[l])`` with the
-    client's one UpdateContext; a real matrix and a bias take w - lr * m.
+    Every bias and weight matrix has a region of one flat parameter vector
+    p (laid out by ``spec.flat_layout``); the gradients g and the momentum
+    m are two more vectors of the same layout. The working model's biases
+    and real matrices are views into p; a QuantizedLayer's region holds
+    the matrix ``forward`` dequantized for this minibatch. Each minibatch
+    takes m = momentum * m + (g + weight_decay * p) over the whole vector.
+    A QuantizedLayer then takes the snapped step
+    ``sgd_step(layer, m_l, ctx, lams[l])`` with the client's one
+    UpdateContext, in layer order; every real region takes p - lr * m.
     """
-    work = Model(model.spec, list(model.layers), [b.copy() for b in model.biases])
-    ctx = UpdateContext(cfg.learning_rate, rng)
-    bufs_w = [np.zeros(s.weight_shape) for s in model.spec.layers]
-    bufs_b = [np.zeros_like(b) for b in work.biases]
+    spec = model.spec
+    bias_at, weight_at = spec.flat_layout
+    size = weight_at[-1].stop
+    p, g, m, t = np.empty(size), np.empty(size), np.zeros(size), np.empty(size)
 
-    def buffer(m: np.ndarray, grad: np.ndarray, w: np.ndarray) -> None:
-        """m = momentum * m + (grad + weight_decay * w), in place; float
-        addition and multiplication commute, so the bits are the same."""
-        g = cfg.weight_decay * w
-        g += grad
-        m *= cfg.momentum
-        m += g
+    def views(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        return [flat[r] for r in bias_at], [
+            flat[r].reshape(s.weight_shape) for r, s in zip(weight_at, spec.layers)
+        ]
+
+    biases, slots = views(p)
+    grads_b, grads_w = views(g)
+    _, momenta = views(m)
+    for bias, given in zip(biases, model.biases):
+        np.copyto(bias, given)
+    layers = list(model.layers)
+    quantized = [l for l, layer in enumerate(layers) if isinstance(layer, QuantizedLayer)]
+    reals = [l for l in range(len(layers)) if l not in quantized]
+    for l in reals:
+        np.copyto(slots[l], layers[l])
+        layers[l] = slots[l]
+    # All biases, then each real matrix; an all-real model is one region.
+    real_at = [slice(0, size)]
+    if quantized:
+        real_at = [slice(0, weight_at[0].start), *(weight_at[l] for l in reals)]
+    moves = [(p[r], m[r], t[r]) for r in real_at]
+    work = Model(spec, layers, biases)
+    ctx = UpdateContext(cfg.learning_rate, rng)
 
     n = len(labels)
     for _ in range(cfg.local_epochs):
@@ -359,15 +397,22 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams=()) -> Mo
             sel = order[start : start + cfg.batch_size]
             logits, cache = forward(work, features[sel], cfg.activation_bits)
             _, dlogits = softmax_cross_entropy(logits, labels[sel])
-            grads_w, grads_b = backward(cache, dlogits)
-            for l, layer in enumerate(work.layers):
-                buffer(bufs_w[l], grads_w[l], cache.weights[l])
-                buffer(bufs_b[l], grads_b[l], work.biases[l])
-                if isinstance(layer, QuantizedLayer):
-                    work.layers[l] = sgd_step(layer, bufs_w[l], ctx, lams[l])
-                else:
-                    work.layers[l] = layer - cfg.learning_rate * bufs_w[l]
-                work.biases[l] -= cfg.learning_rate * bufs_b[l]
+            backward(cache, dlogits, grads_w, grads_b)
+            for l in quantized:
+                np.copyto(slots[l], cache.weights[l])
+            # m = momentum * m + (g + weight_decay * p); float addition and
+            # multiplication commute, so each entry's bits are as before.
+            np.multiply(p, cfg.weight_decay, out=t)
+            t += g
+            m *= cfg.momentum
+            m += t
+            for l in quantized:
+                work.layers[l] = sgd_step(work.layers[l], momenta[l], ctx, lams[l])
+            for p_r, m_r, t_r in moves:
+                p_r -= np.multiply(m_r, cfg.learning_rate, out=t_r)
+    # Copies, so that nothing returned keeps the flat vectors alive.
+    work.biases = [b.copy() for b in biases]
+    work.layers = [w if l in quantized else w.copy() for l, w in enumerate(work.layers)]
     return work
 
 

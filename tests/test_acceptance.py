@@ -8,6 +8,8 @@ participation, 30 rounds.
 
 import dataclasses
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -268,25 +270,31 @@ def test_criterion_08_sparsity_effect(monkeypatch):
 # 0.05 -> 0.838 / 0.748 / 0.8055; 0.02 -> median 0.8205.
 FP32_LEARNING_RATE = 0.05
 ORDERING_SEEDS = (1, 2, 3)
+ORDERING_ARMS = ("fedmpq", "aqfl", "fpq-k", "fp32")
+
+
+def _final_accuracy(algorithm, seed):
+    config = _benchmark_config(algorithm, seed)
+    if algorithm == "fp32":
+        config = dataclasses.replace(
+            config,
+            train=dataclasses.replace(config.train, learning_rate=FP32_LEARNING_RATE),
+        )
+    metrics, _ = run_experiment(config)
+    return metrics[-1].test_accuracy
 
 
 @pytest.fixture(scope="module")
 def ordering_results():
-    """Final test accuracy per arm, one entry per seed in ORDERING_SEEDS."""
-    results = {}
-    for algorithm in ("fedmpq", "aqfl", "fpq-k", "fp32"):
-        accs = []
-        for seed in ORDERING_SEEDS:
-            config = _benchmark_config(algorithm, seed)
-            if algorithm == "fp32":
-                config = dataclasses.replace(
-                    config,
-                    train=dataclasses.replace(config.train, learning_rate=FP32_LEARNING_RATE),
-                )
-            metrics, _ = run_experiment(config)
-            accs.append(metrics[-1].test_accuracy)
-        results[algorithm] = accs
-    return results
+    """Final test accuracy per arm, one entry per seed in ORDERING_SEEDS.
+
+    The experiments are independent and seeded, so two worker processes
+    run them without changing any result.
+    """
+    jobs = [(algorithm, seed) for algorithm in ORDERING_ARMS for seed in ORDERING_SEEDS]
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1)) as pool:
+        accs = iter(pool.map(_final_accuracy, *zip(*jobs)))
+    return {algorithm: [next(accs) for _ in ORDERING_SEEDS] for algorithm in ORDERING_ARMS}
 
 
 @pytest.mark.slow

@@ -271,6 +271,14 @@ class TestLocalObjective:
         assert values[2] - values[1] == pytest.approx(values[1] - values[0])
 
 
+# Two-layer models over the blob shard's 8 features: a dense MLP, and a
+# convolution that reads each sample as a 1 x 2 x 4 image.
+SHARD_SPECS = {
+    "mlp": ModelSpec((DenseSpec(8, 10), DenseSpec(10, 4)), (8,), 4),
+    "conv": ModelSpec((Conv2dSpec(1, 3, 2), DenseSpec(9, 4)), (1, 2, 4), 4),
+}
+
+
 @pytest.fixture(scope="module")
 def blob_shard():
     data = make_blobs(
@@ -292,8 +300,7 @@ class TestLocalUpdate:
         defaults.update(kw)
         return TrainConfig(**defaults)
 
-    def model(self, bits=5):
-        spec = ModelSpec((DenseSpec(8, 10), DenseSpec(10, 4)), (8,), 4)
+    def model(self, bits=5, spec=SHARD_SPECS["mlp"]):
         dense = init_dense_model(spec, np.random.default_rng([5, 202]))
         return quantized(dense, [bits, bits])
 
@@ -371,12 +378,14 @@ class TestLocalUpdate:
         after = local_objective(trained, blob_shard.train_x, blob_shard.train_y, 0.0)
         assert after < before
 
-    def test_two_minibatches_are_two_snapped_steps(self, blob_shard):
+    @pytest.mark.parametrize("kind", SHARD_SPECS)
+    def test_two_minibatches_are_two_snapped_steps(self, blob_shard, kind):
         # The first step snaps m1 = g1 + wd * w0; the second carries it as
         # m2 = momentum * m1 + (g2 + wd * w1). Biases take b - lr * m by the
         # same rule. w is the dequantized matrix, one Lasso weight per layer.
-        model = self.model()
-        x, y = blob_shard.train_x, blob_shard.train_y
+        spec = SHARD_SPECS[kind]
+        model = self.model(spec=spec)
+        x, y = blob_shard.train_x.reshape(-1, *spec.input_shape), blob_shard.train_y
         half = (len(y) + 1) // 2
         cfg = self.cfg(
             local_epochs=1, batch_size=half, lasso_coeff=0.01, weight_decay=0.01, prune_threshold=None
@@ -455,6 +464,48 @@ class TestLocalUpdateDense:
                 np.testing.assert_array_equal(p, p0 - lr * (g + wd * p0))
         for w, w0 in zip(model.layers, before):
             np.testing.assert_array_equal(w, w0)
+
+    @pytest.mark.parametrize("kind", SHARD_SPECS)
+    def test_two_minibatches_carry_momentum(self, blob_shard, kind):
+        # Every weight and bias keeps m = momentum * m + (g + wd * w) and
+        # moves by w - lr * m; the second step carries the first's buffer.
+        spec = SHARD_SPECS[kind]
+        model = init_dense_model(spec, np.random.default_rng([5, 202]))
+        x, y = blob_shard.train_x.reshape(-1, *spec.input_shape), blob_shard.train_y
+        half = (len(y) + 1) // 2
+        cfg = TrainConfig(local_epochs=1, batch_size=half, learning_rate=0.1, weight_decay=0.01)
+        trained = local_update_dense(model, x, y, cfg, np.random.default_rng(4))
+
+        order = np.random.default_rng(4).permutation(len(y))
+        lr, mu, wd = cfg.learning_rate, cfg.momentum, cfg.weight_decay
+        params = [*model.layers, *model.biases]
+        bufs = [np.zeros_like(w) for w in params]
+        for sel in (order[:half], order[half:]):
+            current = Model(spec, params[: len(model.layers)], params[len(model.layers) :])
+            logits, cache = forward(current, x[sel], None)
+            grads_w, grads_b = backward(cache, softmax_cross_entropy(logits, y[sel])[1])
+            bufs = [mu * m + (g + wd * w) for m, g, w in zip(bufs, [*grads_w, *grads_b], params)]
+            params = [w - lr * m for w, m in zip(params, bufs)]
+
+        for got, want in zip([*trained.layers, *trained.biases], params, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", SHARD_SPECS)
+def test_trained_arrays_pin_no_training_state(blob_shard, kind):
+    # A returned bias or real weight that is a view into the client's whole
+    # training state keeps that state alive as long as the upload lives.
+    spec = SHARD_SPECS[kind]
+    x, y = blob_shard.train_x.reshape(-1, *spec.input_shape), blob_shard.train_y
+    dense = init_dense_model(spec, np.random.default_rng(8))
+    cfg = TrainConfig(local_epochs=1, batch_size=32, learning_rate=0.1, lasso_coeff=0.01)
+    for trained in (
+        local_update(quantized(dense, [4, 4]), x, y, cfg, np.random.default_rng(0)),
+        local_update_dense(dense, x, y, cfg, np.random.default_rng(0)),
+    ):
+        reals = [w for w in trained.layers if isinstance(w, np.ndarray)]
+        assert all(a.base is None or a.base.nbytes <= a.nbytes for a in (*reals, *trained.biases))
+    assert len(reals) == len(spec.layers)
 
 
 class TestEvaluate:
