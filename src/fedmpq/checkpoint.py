@@ -77,8 +77,11 @@ def _parse_record(data: bytes, offset: int) -> tuple[int, QuantizedLayer, int]:
     planes = np.unpackbits(packed.reshape(bits, plane_bytes), axis=1, bitorder="little")
     if planes[:, num_params:].any():
         raise CheckpointError(f"invalid layer {index}: padding bits are not zero")
+    # Unpacked bits are 0 or 1, so every code lies in [0, 2^bits - 1].
+    planes = planes[:, :num_params].reshape(bits, rows, cols)
+    codes = np.tensordot(1 << np.arange(bits), planes, axes=1)
     try:
-        layer = QuantizedLayer.from_planes(planes[:, :num_params].reshape(bits, rows, cols), scale)
+        layer = QuantizedLayer.from_codes(codes, scale, bits)
     except ValueError as exc:
         raise CheckpointError(f"invalid layer {index}: {exc}") from exc
     return index, layer, offset + body

@@ -117,7 +117,8 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        # Its message can span lines; an error is reported on one.
+        raise ConfigError(" ".join(str(exc).splitlines())) from exc
     flagged: set[tuple[str, str]] = set()
     for flag, raw in (overrides or {}).items():
         if raw is None:

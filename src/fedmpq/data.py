@@ -107,20 +107,6 @@ def load_idx_dataset(cfg: DataConfig) -> Dataset:
     return Dataset(train_x, train_y, test_x, test_y, classes)
 
 
-def write_idx_images(path: str | Path, images: np.ndarray) -> None:
-    arr = np.asarray(images, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", _IDX_MAGIC_IMAGES, *arr.shape))
-        fh.write(arr.tobytes())
-
-
-def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
-    arr = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", _IDX_MAGIC_LABELS, len(arr)))
-        fh.write(arr.tobytes())
-
-
 def load_dataset(cfg: DataConfig, seed: int) -> Dataset:
     if cfg.kind == "blobs":
         return make_blobs(cfg, seed)

@@ -26,7 +26,7 @@ from .quant import (
     shift_add_matmul,
     wire_bits,
 )
-from .ste import UpdateContext, group_lasso, sgd_step
+from .ste import UpdateContext, sgd_step
 
 logger = logging.getLogger(__name__)
 
@@ -325,26 +325,6 @@ def backward(
         relu = cache.outputs[idx - 1]
         delta = da.reshape(relu.shape) * (relu > 0.0)
     return grads_w, grads_b
-
-
-def local_objective(
-    model: Model,
-    features: np.ndarray,
-    labels: np.ndarray,
-    lasso_coeff: float,
-    act_bits: int | None = 4,
-) -> float:
-    """Task cross-entropy plus the parameter-share-weighted group Lasso."""
-    logits, _ = forward(model, features, act_bits)
-    loss, _ = softmax_cross_entropy(logits, labels)
-    if lasso_coeff:
-        counts = model.spec.param_counts
-        total = model.spec.total_params
-        reg = sum(
-            (c / total) * group_lasso(layer)[0] for c, layer in zip(counts, model.layers)
-        )
-        loss += lasso_coeff * reg
-    return float(loss)
 
 
 def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams=()) -> Model:

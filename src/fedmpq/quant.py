@@ -80,14 +80,6 @@ class QuantizedLayer:
         """Width of one grid cell, s / (2^b - 1)."""
         return self.scale / ((1 << self.bit_width) - 1)
 
-    @property
-    def min_value(self) -> float:
-        return -self.step * self.zero_point
-
-    @property
-    def max_value(self) -> float:
-        return self.step * ((1 << self.bit_width) - 1 - self.zero_point)
-
     def planes(self) -> np.ndarray:
         """Binary planes, shape (bit_width, rows, cols), LSB plane first."""
         shifts = np.arange(self.bit_width, dtype=np.uint8)[:, None, None]
@@ -116,16 +108,6 @@ class QuantizedLayer:
         # A float zero point widens the codes, where a uint8 difference would
         # wrap around; code minus zero point is a small integer, so exact.
         return self.step * (self.codes - float(self.zero_point))
-
-    @classmethod
-    def from_planes(cls, planes: np.ndarray, scale: float) -> "QuantizedLayer":
-        planes = np.asarray(planes)
-        if planes.ndim != 3:
-            raise ValueError("planes must have shape (bit_width, rows, cols)")
-        if not np.isin(planes, (0, 1)).all():
-            raise ValueError("plane entries must be exactly 0 or 1")
-        b = planes.shape[0]
-        return cls.from_codes(np.tensordot(1 << np.arange(b), planes, axes=1), scale, b)
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, scale: float, bit_width: int) -> "QuantizedLayer":

@@ -68,11 +68,6 @@ class ClientUpdate:
         check_width_budget(self.client_id, self.bit_widths, param_counts, self.budget, "upload")
 
 
-def convert_to_fp(update: ClientUpdate) -> list[np.ndarray]:
-    """De-quantize every uploaded layer into real matrices."""
-    return [dequantize(l) for l in update.layers]
-
-
 def aggregation_weights(updates: list[ClientUpdate]) -> np.ndarray:
     """p_n proportional to budget * shard size, normalized over participants."""
     mass = np.array([u.budget * u.num_samples for u in updates], dtype=np.float64)
@@ -96,13 +91,14 @@ def aggregate(
     ups = sorted(updates, key=lambda u: u.client_id)
     p = aggregation_weights(ups)
     n_layers = len(ups[0].layers)
-    weights = [np.zeros_like(w) for w in convert_to_fp(ups[0])]
-    biases = [np.zeros_like(ups[0].biases[l]) for l in range(n_layers)]
+    # Each sum starts at zero: 0.0 plus the first term makes a float64 array,
+    # which the later terms are added into.
+    weights = [0.0] * n_layers
+    biases = [0.0] * n_layers
     bits = np.zeros(n_layers)
     for p_n, u in zip(p, ups):
-        fp = convert_to_fp(u)
         for l in range(n_layers):
-            weights[l] += p_n * fp[l]
+            weights[l] += p_n * dequantize(u.layers[l])
             biases[l] += p_n * u.biases[l]
         bits += p_n * np.asarray(u.bit_widths, dtype=np.float64)
     return weights, biases, bits

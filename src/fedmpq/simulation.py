@@ -102,6 +102,8 @@ class ExperimentConfig:
         # Written so that NaN fails it too.
         if not (0.0 < self.alpha < math.inf):
             raise ValueError("alpha must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not (1 <= self.fpq_bits <= 8):
             raise ValueError("fpq_bits must lie in [1, 8]")
 

@@ -78,10 +78,10 @@ def group_lasso(layer: QuantizedLayer, weight: float = 1.0) -> tuple[float, np.n
 def plane_steps(plane_grads: np.ndarray, lr: float) -> np.ndarray:
     """Snapped per-plane step 2^(q_i - 1) in grid steps, 0 where the gradient is 0.
 
-    That is the power of two nearest to lr * |g_i| (see plane_update_powers),
-    taken on the float bits, so every step is exact. It agrees with rounding
-    the frexp exponent wherever lr * |g_i| is a normal float; below 2^-1022
-    the step is 0 or 2^-1022.
+    That is the power of two nearest to lr * |g_i|, rounding at a frexp
+    mantissa of sqrt(1/2) with ties up, taken on the float bits, so every
+    step is exact. It agrees with rounding the frexp exponent wherever
+    lr * |g_i| is a normal float; below 2^-1022 the step is 0 or 2^-1022.
     """
     # |g| * lr and |g * lr| round alike.
     steps = np.asarray(plane_grads, dtype=np.float64) * lr
@@ -89,19 +89,6 @@ def plane_steps(plane_grads: np.ndarray, lr: float) -> np.ndarray:
     bits += _ROUND_UP
     bits &= _EXPONENT
     return steps
-
-
-def plane_update_powers(plane_grads: np.ndarray, lr: float) -> np.ndarray:
-    """Power q_i of the snapped per-plane step, -inf where the gradient is 0.
-
-    q_i = 1 + round(log2(lr * |g_i|)), rounding at a frexp mantissa of
-    sqrt(1/2) with ties up. The significance factor 2^(i-1) that
-    ste_backward bakes into plane i is kept, not divided out, so planes that
-    share one weight-space gradient land on consecutive powers:
-    q_{i+1} = q_i + 1 exactly.
-    """
-    with np.errstate(divide="ignore"):
-        return 1.0 + np.log2(plane_steps(plane_grads, lr))
 
 
 def fixed_point_delta(

@@ -43,22 +43,16 @@ from fedmpq.simulation import metrics_csv_rows, run_experiment
 from fedmpq.ste import (
     UpdateContext,
     fixed_point_delta,
-    plane_update_powers,
     ste_backward,
 )
+
+from helpers import max_value, min_value, plane_update_powers, task_plane_grads
 
 BENCHMARK_INI = Path(__file__).resolve().parent.parent / "configs" / "blobs.ini"
 
 
 def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
-
-
-def task_plane_grads(grad_w, layer):
-    out = np.empty((layer.bit_width, *grad_w.shape))
-    for i in range(1, layer.bit_width + 1):
-        out[i - 1] = layer.scale * 2 ** (i - 1) / (2**layer.bit_width - 1) * grad_w
-    return out
 
 
 def test_criterion_01_quantization_round_trip():
@@ -69,7 +63,7 @@ def test_criterion_01_quantization_round_trip():
         rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
         w = rng.uniform(-2.0, 2.0, (rows, cols)) * 10.0 ** rng.integers(-3, 3)
         layer = quantize(w, bits)
-        clipped = np.clip(w, layer.min_value, layer.max_value)
+        clipped = np.clip(w, min_value(layer), max_value(layer))
         err = np.abs(dequantize(layer) - clipped).max()
         bound = 0.5 * layer.step + 1e-12
         assert err <= bound, f"round trip broke at case {i}: {err} > {bound}"

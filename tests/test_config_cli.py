@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedmpq.checkpoint import write_checkpoint
 from fedmpq.cli import _load_partition_file, build_parser, main
@@ -519,6 +524,7 @@ class TestMalformedInputs:
             ("cluster_std", "nan"),
             ("cluster_std", "inf"),
             ("cluster_std", "-1"),
+            ("seed", "-1"),
         ],
     )
     def test_data_setting_out_of_range(self, tmp_path, capsys, key, value):
@@ -580,3 +586,105 @@ class TestMalformedInputs:
         ):
             assert main(command) == 1
             assert "truncated IDX header" in self.one_line_error(capsys)
+
+
+# A tiny fedmpq run: 2 clients, 1 round, 40 training samples, hidden 4.
+FUZZ_BASE = """[experiment]
+algorithm = fedmpq
+clients = 2
+participation = 1.0
+rounds = 1
+budgets = 4,8
+alpha = 0.5
+seed = 0
+fpq_bits = 8
+use_bit_reallocation = true
+
+[train]
+local_epochs = 1
+batch_size = 16
+learning_rate = 0.1
+momentum = 0.9
+weight_decay = 0.0005
+lasso_coeff = 0.01
+prune_threshold = 0.03
+activation_bits = 4
+
+[model]
+kind = mlp
+hidden = 4
+channels = 2
+kernel_size = 2
+
+[data]
+kind = blobs
+train_samples = 40
+test_samples = 20
+features = 4
+classes = 2
+cluster_std = 1.0
+""".splitlines()
+
+FUZZ_VALUES = ("", "-1", "0", "1.5", "nan", "inf", "none", "abc", "true", "2,2", "conv", "idx")
+
+_line = st.integers(0, len(FUZZ_BASE) - 1)
+_key_line = st.sampled_from([i for i, line in enumerate(FUZZ_BASE) if "=" in line])
+_mutation = st.one_of(
+    st.tuples(st.just("drop"), _line),
+    st.tuples(st.just("duplicate"), _line),
+    st.tuples(st.just("swap"), _line, _line),
+    st.tuples(st.just("replace"), _key_line, st.sampled_from(FUZZ_VALUES)),
+)
+
+
+def _mutate(lines: list[str], mutation) -> list[str]:
+    """One mutation; indices wrap, since earlier ones may have moved lines."""
+    op, i, *rest = mutation
+    lines = list(lines)
+    i %= len(lines)
+    if op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j = rest[0] % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        key, eq, _ = lines[i].partition("=")
+        lines[i] = f"{key}= {rest[0]}" if eq else rest[0]
+    return lines
+
+
+def _small_run(text: str) -> bool:
+    """Whether the config fails to parse, or its run is a few seconds at most:
+    a dropped line restores a default, and the defaults of rounds, epochs and
+    training samples multiply to a run far longer than the base's."""
+    try:
+        config = parse_config_text(text)
+    except ConfigError:
+        return True
+    return config.rounds * config.train.local_epochs * config.data.train_samples <= 4000
+
+
+@given(st.lists(_mutation, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_mutated_config_runs_or_fails_in_one_line(mutations):
+    """However a valid INI is mangled, ``fedmpq run`` exits 0, or 2 with one
+    ``config error:`` line, or 1 with one ``run failed:`` line; it never raises."""
+    lines = FUZZ_BASE
+    for mutation in mutations:
+        lines = _mutate(lines, mutation)
+    text = "\n".join(lines) + "\n"
+    assume(_small_run(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "fuzz.ini"
+        ini.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(ini), "--out", str(Path(tmp) / "o")])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        return
+    prefix = {2: "config error: ", 1: "run failed: "}.get(code)
+    assert prefix is not None, f"exit {code}"
+    assert len(lines) == 1 and lines[0].startswith(prefix), (code, lines)

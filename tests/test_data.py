@@ -6,9 +6,9 @@ from fedmpq.data import (
     load_dataset,
     load_idx_dataset,
     make_blobs,
-    write_idx_images,
-    write_idx_labels,
 )
+
+from helpers import write_idx_images, write_idx_labels
 
 
 class TestBlobs:

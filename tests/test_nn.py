@@ -18,7 +18,6 @@ from fedmpq.nn import (
     evaluate,
     forward,
     init_dense_model,
-    local_objective,
     local_update,
     local_update_dense,
     softmax_cross_entropy,
@@ -26,6 +25,8 @@ from fedmpq.nn import (
 from fedmpq.quant import QuantizedLayer, dequantize
 from fedmpq.server import binary_representation
 from fedmpq.ste import UpdateContext, group_lasso, sgd_step
+
+from helpers import local_objective
 
 
 def quantized(dense: Model, widths) -> Model:

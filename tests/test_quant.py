@@ -16,6 +16,8 @@ from fedmpq.quant import (
     shift_add_matmul,
 )
 
+from helpers import max_value, min_value
+
 
 def layer_from_code_grid(codes, scale, bits):
     return QuantizedLayer.from_codes(np.asarray(codes), scale, bits)
@@ -82,10 +84,6 @@ class TestLayerInvariants:
         with pytest.raises(ValueError, match="out of range"):
             QuantizedLayer.from_codes(np.full((1, 2), code), 1.0, bits)
 
-    def test_plane_entries_are_binary(self):
-        with pytest.raises(ValueError):
-            QuantizedLayer.from_planes(np.full((1, 1, 1), 2), 1.0)
-
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             QuantizedLayer.from_codes(np.zeros((1, 1), dtype=int), 0.0, 2)
@@ -106,7 +104,7 @@ class TestQuantize:
     def test_range_covering_policy_reaches_min(self):
         w = np.array([[-0.7, 0.3]])
         layer = quantize(w, 3)
-        assert layer.min_value == pytest.approx(-0.7)
+        assert min_value(layer) == pytest.approx(-0.7)
 
     def test_ties_round_to_larger_code(self):
         # max|w| = 1 at 2 bits gives s = 1.5 and step = 1/2, so the grid is
@@ -122,7 +120,7 @@ class TestQuantize:
         rng = np.random.default_rng(7)
         w = rng.uniform(-1, 1, (13, 9))
         layer = quantize(w, bits)
-        clipped = np.clip(w, layer.min_value, layer.max_value)
+        clipped = np.clip(w, min_value(layer), max_value(layer))
         err = np.abs(dequantize(layer) - clipped).max()
         assert err <= 0.5 * layer.step + 1e-12
 
@@ -193,7 +191,7 @@ class TestPlaneDensity:
         offset = layer.step * sum(
             (1 << i) * d for i, d in enumerate(dens)
         )
-        assert offset == pytest.approx(dequantize(layer).mean() - layer.min_value, abs=1e-12)
+        assert offset == pytest.approx(dequantize(layer).mean() - min_value(layer), abs=1e-12)
 
 
 def build_layer_with_densities(densities, bits, rows=10, cols=10, scale=1.0):
@@ -204,7 +202,8 @@ def build_layer_with_densities(densities, bits, rows=10, cols=10, scale=1.0):
     for i, d in enumerate(densities):
         k = int(round(d * size))
         planes[i, rng.choice(size, k, replace=False)] = 1
-    return QuantizedLayer.from_planes(planes.reshape(bits, rows, cols), scale)
+    codes = np.tensordot(1 << np.arange(bits), planes.reshape(bits, rows, cols), axes=1)
+    return QuantizedLayer.from_codes(codes, scale, bits)
 
 
 class TestPruneMsbs:

@@ -10,10 +10,11 @@ from fedmpq.server import (
     aggregation_weights,
     binary_representation,
     check_width_budget,
-    convert_to_fp,
     pruning_growing,
     round_bitwidths,
 )
+
+from helpers import max_value, min_value
 
 
 def make_update(client_id, weights, bits, num_samples, budget):
@@ -30,23 +31,21 @@ def make_update(client_id, weights, bits, num_samples, budget):
 
 
 class TestConvertToFp:
+    """aggregate converts each upload to full precision, so one client's
+    average is its de-quantized upload."""
+
     def test_one_bit_values(self):
         layer = QuantizedLayer.from_codes(np.array([[0, 1]]), 2.5, 1)
         update = ClientUpdate(0, (layer,), (np.zeros(1),), (1,), 10, 2.0)
-        np.testing.assert_array_equal(convert_to_fp(update)[0], [[-2.5, 0.0]])
-
-    def test_matches_dequantize(self):
-        rng = np.random.default_rng(0)
-        update = make_update(0, [rng.normal(size=(4, 3))], [5], 10, 4.0)
-        np.testing.assert_array_equal(convert_to_fp(update)[0], dequantize(update.layers[0]))
+        np.testing.assert_array_equal(aggregate([update])[0][0], [[-2.5, 0.0]])
 
     def test_round_trip_bound(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(6, 4))
         update = make_update(0, [w], [6], 10, 6.0)
         layer = update.layers[0]
-        clipped = np.clip(w, layer.min_value, layer.max_value)
-        assert np.abs(convert_to_fp(update)[0] - clipped).max() <= 0.5 * layer.step + 1e-12
+        clipped = np.clip(w, min_value(layer), max_value(layer))
+        assert np.abs(aggregate([update])[0][0] - clipped).max() <= 0.5 * layer.step + 1e-12
 
 
 class TestAggregate:
@@ -71,10 +70,10 @@ class TestAggregate:
             p = aggregation_weights([a, b])
             np.testing.assert_allclose(p, [0.2, 0.8])
             weights, _, bits = aggregate([a, b])
-            expected = 0.2 * convert_to_fp(a)[0] + 0.8 * convert_to_fp(b)[0]
+            expected = 0.2 * dequantize(a.layers[0]) + 0.8 * dequantize(b.layers[0])
             np.testing.assert_allclose(weights[0], expected)
             np.testing.assert_allclose(bits, [0.2 * a.bit_widths[0] + 0.8 * b.bit_widths[0]])
-        np.testing.assert_array_equal(convert_to_fp(full[0])[0], wa)
+        np.testing.assert_array_equal(dequantize(full[0].layers[0]), wa)
 
     def test_equal_budgets_plain_average(self):
         rng = np.random.default_rng(4)
@@ -181,7 +180,7 @@ class TestBinaryRepresentation:
         weights = [rng.normal(size=(5, 4)), rng.normal(size=(3, 5))]
         layers = binary_representation(weights, [4, 6])
         for w, layer in zip(weights, layers):
-            clipped = np.clip(w, layer.min_value, layer.max_value)
+            clipped = np.clip(w, min_value(layer), max_value(layer))
             assert np.abs(dequantize(layer) - clipped).max() <= 0.5 * layer.step + 1e-12
 
     def test_zero_layer_degenerate_scale(self):

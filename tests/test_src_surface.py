@@ -1,0 +1,53 @@
+"""Every name ``src/fedmpq`` defines is one that a run, the CLI, ``bench/``
+or ``scripts/`` uses.
+
+A top-level function or class, or a non-dunder method, counts as used when
+some Name or Attribute node in ``src/``, ``bench/`` or ``scripts/`` carries
+its name. Import aliases are not Name nodes, so a re-export alone does not
+count, and neither do references from ``tests/``: a helper only tests call
+belongs in ``tests/helpers.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "src/fedmpq"
+CALLERS = ("src", "bench", "scripts")
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions():
+    """(module, qualified name, bare name) of each definition in the package."""
+    for path, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.stem, node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        yield path.stem, f"{node.name}.{item.name}", item.name
+
+
+def _references():
+    names = set()
+    for _, tree in _trees(*CALLERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_definition_is_used_outside_tests():
+    used = _references()
+    unused = [f"{module}.{qual}" for module, qual, name in _definitions() if name not in used]
+    assert not unused, f"defined in src/fedmpq but used only by tests, or by nothing: {unused}"

@@ -12,23 +12,16 @@ from fedmpq.ste import (
     fixed_point_delta,
     group_lasso,
     plane_steps,
-    plane_update_powers,
     sgd_step,
     ste_backward,
 )
+
+from helpers import max_value, plane_update_powers, task_plane_grads
 
 
 def unit_step_layer(code=2, scale=3.0, bits=2, shape=(1, 1)):
     """b=2 layer with s=3 so one grid step is exactly 1."""
     return QuantizedLayer.from_codes(np.full(shape, code), scale, bits)
-
-
-def task_plane_grads(grad_w, layer):
-    """Closed-form straight-through plane gradients, built independently."""
-    out = np.empty((layer.bit_width, *grad_w.shape))
-    for i in range(1, layer.bit_width + 1):
-        out[i - 1] = layer.scale * 2 ** (i - 1) / (2**layer.bit_width - 1) * grad_w
-    return out
 
 
 def power_of_two(x: float) -> float:
@@ -229,7 +222,7 @@ class TestApplyUpdate:
         layer = unit_step_layer(code=3)  # already at the top of the range
         updated = apply_update(layer, np.array([[1.0]]))
         assert updated.codes[0, 0] == 3
-        assert dequantize(updated)[0, 0] == layer.max_value
+        assert dequantize(updated)[0, 0] == max_value(layer)
 
     def test_single_step_updates_planes(self):
         layer = unit_step_layer(code=1)

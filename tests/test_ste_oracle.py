@@ -24,10 +24,11 @@ from fedmpq.ste import (
     fixed_point_delta,
     group_lasso,
     plane_steps,
-    plane_update_powers,
     sgd_step,
     ste_backward,
 )
+
+from helpers import plane_update_powers
 
 _SQRT_HALF = math.sqrt(0.5)
 
