@@ -105,17 +105,19 @@ def _line_of(text: str, section: str, key: str) -> int | None:
     return None
 
 
-def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+def parse_config_text(
+    text: str, overrides: dict[str, str] | None = None, source: str = "<string>"
+) -> ExperimentConfig:
     """The config in INI ``text``, with ``overrides`` (see OVERRIDE_KEYS) set on top.
 
     An error names the line of ``text`` that holds the key, or the flag that
-    set it.
+    set it; a malformed INI names ``source``, the file the text came from.
     """
     # No header can name the empty section, so a [DEFAULT] section is an
     # unknown section rather than keys merged into every other section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=source)
     except configparser.Error as exc:
         # Its message can span lines; an error is reported on one.
         raise ConfigError(" ".join(str(exc).splitlines())) from exc
@@ -165,7 +167,7 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> E
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, overrides)
+    return parse_config_text(text, overrides, str(path))
 
 
 def _fmt_value(value) -> str:

@@ -13,6 +13,7 @@ _SALT_DATA = 505
 
 _IDX_MAGIC_IMAGES = 0x00000803
 _IDX_MAGIC_LABELS = 0x00000801
+_IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,10 @@ class DataConfig:
                 raise ValueError("blobs need at least 2 classes and 1 feature")
             if self.train_samples < self.classes or self.test_samples < 1:
                 raise ValueError("blobs need at least one sample per class")
+        else:
+            missing = [k for k in _IDX_PATHS if not getattr(self, k)]
+            if missing:
+                raise ValueError(f"idx data needs {', '.join(missing)} set")
 
 
 @dataclass

@@ -105,9 +105,14 @@ class QuantizedLayer:
         return np.packbits(flat, axis=1, bitorder="little")
 
     def values(self) -> np.ndarray:
-        # A float zero point widens the codes, where a uint8 difference would
-        # wrap around; code minus zero point is a small integer, so exact.
-        return self.step * (self.codes - float(self.zero_point))
+        # Widened to float first, where a uint8 difference would wrap around
+        # and a mixed-dtype subtraction would cast in numpy's buffered loop;
+        # code minus zero point is a small integer, so exact, and IEEE
+        # multiplication commutes.
+        out = self.codes.astype(np.float64)
+        out -= self.zero_point
+        out *= self.step
+        return out
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, scale: float, bit_width: int) -> "QuantizedLayer":

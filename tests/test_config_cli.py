@@ -27,6 +27,7 @@ from fedmpq.quant import plane_density, quantize
 from fedmpq.simulation import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 BLOBS = SRC.parent / "configs" / "blobs.ini"
 
 MINIMAL = """
@@ -537,6 +538,27 @@ class TestMalformedInputs:
         assert err.startswith("config error: ") and key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", IDX_KEYS)
+    def test_idx_path_missing(self, tmp_path, capsys, key):
+        # Unchecked, the empty path reads as '.' and the run fails on a
+        # directory, with a line that names neither the key nor its section.
+        idx = tmp_path / "data.idx"
+        idx.write_bytes(b"")
+        paths = "".join(f"{k} = {idx}\n" for k in IDX_KEYS if k != key)
+        config = tmp_path / "bad.ini"
+        config.write_text(MINIMAL.split("[data]")[0] + "[data]\nkind = idx\n" + paths)
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = self.one_line_error(capsys)
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_ini_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "twice.ini"
+        config.write_text(MINIMAL.replace("clients = 1", "clients = 1\nclients = 2"))
+        assert main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = self.one_line_error(capsys)
+        assert err.startswith("config error: ") and str(config) in err and "'clients'" in err
+
     def test_partition_out_under_a_file(self, config_file, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("")
@@ -576,9 +598,8 @@ class TestMalformedInputs:
     def test_truncated_idx_header(self, tmp_path, capsys):
         idx = tmp_path / "six.idx"
         idx.write_bytes(b"\x00\x00\x08\x03\x00\x00")
-        keys = ("train_images", "train_labels", "test_images", "test_labels")
         config = tmp_path / "idx.ini"
-        data = "[data]\nkind = idx\n" + "".join(f"{k} = {idx}\n" for k in keys)
+        data = "[data]\nkind = idx\n" + "".join(f"{k} = {idx}\n" for k in IDX_KEYS)
         config.write_text(MINIMAL.split("[data]")[0] + data)
         for command in (
             ["run", str(config), "--out", str(tmp_path / "o")],

@@ -13,6 +13,7 @@ from fedmpq.nn import (
     ModelConfig,
     ModelSpec,
     TrainConfig,
+    _col2im,
     backward,
     build_model_spec,
     evaluate,
@@ -230,6 +231,93 @@ def test_conv_path_is_byte_identical():
             hashlib.sha256(a.tobytes()).hexdigest() for a in (logits, *grads_w, *grads_b)
         )
         assert digests == CONV_DIGESTS[name], name
+
+
+def reference_backward(cache, dlogits):
+    """backward as it was written before the in-place mask: the kept oracle."""
+    specs = cache.spec.layers
+    grads_w, grads_b = [None] * len(specs), [None] * len(specs)
+    delta = dlogits
+    for idx in range(len(specs) - 1, -1, -1):
+        spec = specs[idx]
+        rows, x_shape = cache.inputs[idx]
+        if isinstance(spec, Conv2dSpec):
+            delta = delta.transpose(0, 2, 3, 1).reshape(-1, spec.out_channels)
+        grads_w[idx] = delta.T @ rows
+        grads_b[idx] = delta.sum(axis=0)
+        if idx == 0:
+            break
+        da = delta @ cache.weights[idx]
+        if isinstance(spec, Conv2dSpec):
+            da = _col2im(da, x_shape, spec.kernel_size)
+        relu = cache.outputs[idx - 1]
+        delta = da.reshape(relu.shape) * (relu > 0.0)
+    return grads_w, grads_b
+
+
+class ProductIs:
+    """Stands in for a weight matrix whose product with the delta is ``da``,
+    so that each special value sits where the test puts it."""
+
+    def __init__(self, da):
+        self.da = da
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        assert ufunc is np.matmul
+        return self.da.copy()
+
+
+def assert_same_bits(got, want):
+    """Weight, then bias gradients, compared by their bits."""
+    for g, w in zip([*got[0], *got[1]], [*want[0], *want[1]], strict=True):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+class TestBackwardMaskBits:
+    """backward's in-place mask gives the bits of ``da * (relu > 0.0)``."""
+
+    def batch(self, seed, model, shape):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        y = rng.integers(0, model.spec.num_classes, size=shape[0])
+        logits, cache = forward(model, x, 4)
+        return cache, softmax_cross_entropy(logits, y)[1]
+
+    def test_quantized_cache_with_transposed_outputs(self):
+        _, qmodel = tiny_mlp(np.random.default_rng(71), dims=(6, 9, 7, 4))
+        cache, dlogits = self.batch(72, qmodel, (11, 6))
+        assert all(o.flags.f_contiguous and not o.flags.c_contiguous for o in cache.outputs)
+        assert_same_bits(backward(cache, dlogits), reference_backward(cache, dlogits))
+
+    def test_conv_cache_with_strided_outputs(self):
+        _, qmodel = tiny_conv(np.random.default_rng(73))
+        cache, dlogits = self.batch(74, qmodel, (3, 1, 8, 8))
+        assert not any(o.flags.contiguous for o in cache.outputs[:2])
+        assert_same_bits(backward(cache, dlogits), reference_backward(cache, dlogits))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_signed_zeros_nan_and_inf_in_da(self):
+        _, qmodel = tiny_mlp(np.random.default_rng(75), dims=(6, 9, 4))
+        cache, dlogits = self.batch(76, qmodel, (5, 6))
+        rng = np.random.default_rng(77)
+        # Written in place, so the ReLU output keeps its transposed layout.
+        relu = cache.outputs[0]
+        relu[...] = np.maximum(rng.normal(size=relu.shape), 0.0)
+        relu[:, 0] = relu[:, 2] = 0.0
+        relu[:, 1] = 1.0
+        da = rng.normal(size=relu.shape)
+        # A stopped -x gives -0.0, but no gradient can show it: numpy's
+        # reductions and BLAS both start their sums from +0.0. A stopped
+        # NaN or inf gives NaN, where np.where(relu > 0.0, da, 0.0) gives 0.
+        da[:, 0] = [-1.5, -0.0, -2.0, -0.5, -3.0]  # stopped
+        da[:, 1] = [-0.0, 0.0, np.nan, np.inf, -np.inf]  # passed
+        da[:, 2] = [np.nan, np.inf, -np.inf, -0.0, 0.0]  # stopped
+        cache.weights[1] = ProductIs(da)
+        got = backward(cache, dlogits)
+        want = reference_backward(cache, dlogits)
+        assert np.isnan(want[1][0][1:3]).all() and np.isnan(want[0][0][1:3]).all()
+        assert_same_bits(got, want)
 
 
 class TestLocalObjective:
