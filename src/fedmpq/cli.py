@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, read_checkpoint
-from .config import OVERRIDE_KEYS, ConfigError, parse_config, serialize_config
+from .config import OVERRIDE_KEYS, ConfigError, parse_config
 from .data import load_dataset
 from .quant import average_bits, plane_density
 from .simulation import PartitionError, dirichlet_partition, run_experiment
@@ -30,8 +30,7 @@ def add_override_flags(parser: argparse.ArgumentParser, flags=OVERRIDE_KEYS) -> 
 
 def _load_config_with_overrides(args: argparse.Namespace):
     overrides = {f: getattr(args, f) for f in OVERRIDE_KEYS if getattr(args, f) is not None}
-    config = parse_config(args.config, overrides)
-    return config, serialize_config(config)
+    return parse_config(args.config, overrides)
 
 
 def _default_out_dir(config, config_path: str) -> Path:
@@ -40,41 +39,17 @@ def _default_out_dir(config, config_path: str) -> Path:
     return root / f"{stem}-{config.algorithm}-seed{config.seed}"
 
 
-def _load_partition_file(path: str) -> list[np.ndarray]:
-    """Shards from a file written by ``fedmpq partition``; the shard count and
-    the index ranges are checked against the config and the dataset when the
-    run starts."""
-    try:
-        shards = json.loads(Path(path).read_text())["shards"]
-    except (OSError, ValueError) as exc:
-        raise PartitionError(f"cannot read partition file {path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise PartitionError(f"partition file {path} has no 'shards' list of lists") from exc
-    # JSON true and 1.5 would cast to indices 1 and 1 without a word.
-    if not isinstance(shards, list) or not all(
-        isinstance(s, list) and all(type(i) is int for i in s) for s in shards
-    ):
-        raise PartitionError(f"partition file {path}: every shard must be a list of integers")
-    try:
-        return [np.asarray(s, dtype=np.int64) for s in shards]
-    except OverflowError as exc:
-        raise PartitionError(f"partition file {path}: {exc}") from exc
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        config, canonical = _load_config_with_overrides(args)
+        config = _load_config_with_overrides(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out else _default_out_dir(config, args.config)
     try:
-        shards = None
-        if config.data.partition:
-            shards = _load_partition_file(config.data.partition)
         # A diverging run is reported by the non-finite checks, as one line.
         with np.errstate(all="ignore"):
-            metrics, _ = run_experiment(config, out_dir, shards, canonical)
+            metrics, _ = run_experiment(config, out_dir)
     except (PartitionError, ValueError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -88,7 +63,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     try:
-        config, _ = _load_config_with_overrides(args)
+        config = _load_config_with_overrides(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -24,7 +24,6 @@ from .quant import (
     prune_msbs,
     quantize_activations,
     shift_add_matmul,
-    wire_bits,
 )
 from .ste import UpdateContext, sgd_step
 
@@ -40,10 +39,6 @@ class DenseSpec:
     def weight_shape(self) -> tuple[int, int]:
         return (self.out_features, self.in_features)
 
-    @property
-    def param_count(self) -> int:
-        return self.in_features * self.out_features
-
 
 @dataclass(frozen=True)
 class Conv2dSpec:
@@ -56,10 +51,6 @@ class Conv2dSpec:
     @property
     def weight_shape(self) -> tuple[int, int]:
         return (self.out_channels, self.in_channels * self.kernel_size**2)
-
-    @property
-    def param_count(self) -> int:
-        return self.out_channels * self.in_channels * self.kernel_size**2
 
 
 LayerSpec = DenseSpec | Conv2dSpec
@@ -94,7 +85,7 @@ class ModelSpec:
     # Computed once per spec: the round loop reads them for every client.
     @cached_property
     def param_counts(self) -> tuple[int, ...]:
-        return tuple(s.param_count for s in self.layers)
+        return tuple(math.prod(s.weight_shape) for s in self.layers)
 
     @cached_property
     def total_params(self) -> int:
@@ -153,10 +144,6 @@ class Model:
     spec: ModelSpec
     layers: list[QuantizedLayer | np.ndarray]
     biases: list[np.ndarray]
-
-    @property
-    def bit_widths(self) -> tuple[int, ...]:
-        return tuple(wire_bits(l) for l in self.layers)
 
 
 @dataclass(frozen=True)
@@ -440,11 +427,12 @@ def local_update_dense(
     rng: np.random.Generator,
 ) -> Model:
     """Full-precision counterpart of local_update: plain momentum SGD on
-    real activations, whatever cfg.activation_bits says."""
+    real weights. Activations snap to cfg.activation_bits, which the fp32
+    arm sets to None."""
     if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
         return model
-    return _train(model, features, labels, replace(cfg, activation_bits=None), rng)
+    return _train(model, features, labels, cfg, rng)
 
 
 def evaluate(

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .checkpoint import record_bytes, write_checkpoint
 from .data import DataConfig, Dataset, load_dataset
 from .nn import (
@@ -33,7 +34,7 @@ from .nn import (
     local_update,
     local_update_dense,
 )
-from .quant import FP_WIRE_BITS, QuantizedLayer, average_bits, plane_density
+from .quant import FP_WIRE_BITS, MAX_BITS, QuantizedLayer, average_bits, plane_density
 from .server import (
     ClientUpdate,
     aggregate,
@@ -51,17 +52,6 @@ _SALT_PARTITION = 101
 _SALT_INIT = 202
 _SALT_CLIENT = 303
 _SALT_SAMPLE = 404
-
-METRICS_COLUMNS = (
-    "round",
-    "test_loss",
-    "test_accuracy",
-    "global_bits",
-    "client_avg_bits",
-    "plane_densities",
-    "uploaded_bits",
-    "total_uploaded_bits",
-)
 
 
 class PartitionError(Exception):
@@ -97,20 +87,20 @@ class ExperimentConfig:
                 f"need one budget per client: {len(self.budgets)} budgets, "
                 f"{self.clients} clients"
             )
-        if any(not (1 <= v <= 8) for v in self.budgets):
-            raise ValueError("budgets must lie in [1, 8]")
+        if any(not (1 <= v <= MAX_BITS) for v in self.budgets):
+            raise ValueError(f"budgets must lie in [1, {MAX_BITS}]")
         # Written so that NaN fails it too.
         if not (0.0 < self.alpha < math.inf):
             raise ValueError("alpha must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not (1 <= self.fpq_bits <= 8):
-            raise ValueError("fpq_bits must lie in [1, 8]")
+        if not (1 <= self.fpq_bits <= MAX_BITS):
+            raise ValueError(f"fpq_bits must lie in [1, {MAX_BITS}]")
 
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    round_index: int
+    round: int
     test_loss: float
     test_accuracy: float
     global_bits: tuple[float, ...]
@@ -121,11 +111,12 @@ class RoundMetrics:
     wall_time_sec: float
 
     def row(self) -> dict:
-        """One row of metrics.csv and rounds.jsonl: the METRICS_COLUMNS in order.
+        """One row of metrics.csv and rounds.jsonl: the METRICS_COLUMNS in order."""
+        return {c: getattr(self, c) for c in METRICS_COLUMNS}
 
-        The fields are declared in column order; the wall time, last, is no column.
-        """
-        return {c: getattr(self, f.name) for c, f in zip(METRICS_COLUMNS, fields(self))}
+
+# Every field but the wall time, which cannot be byte-reproducible.
+METRICS_COLUMNS = tuple(f.name for f in fields(RoundMetrics) if f.name != "wall_time_sec")
 
 
 def dirichlet_partition(
@@ -161,6 +152,26 @@ def dirichlet_partition(
         f"could not give every one of {n_clients} clients a sample after "
         f"{max_retries} draws; use a larger dataset or a larger alpha"
     )
+
+
+def read_partition(path: str) -> list[np.ndarray]:
+    """Shards from a file written by ``fedmpq partition``; ``init_state``
+    checks them against the config and the dataset."""
+    try:
+        shards = json.loads(Path(path).read_text())["shards"]
+    except (OSError, ValueError) as exc:
+        raise PartitionError(f"cannot read partition file {path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise PartitionError(f"partition file {path} has no 'shards' list of lists") from exc
+    # JSON true and 1.5 would cast to indices 1 and 1 without a word.
+    if not isinstance(shards, list) or not all(
+        isinstance(s, list) and all(type(i) is int for i in s) for s in shards
+    ):
+        raise PartitionError(f"partition file {path}: every shard must be a list of integers")
+    try:
+        return [np.asarray(s, dtype=np.int64) for s in shards]
+    except OverflowError as exc:
+        raise PartitionError(f"partition file {path}: {exc}") from exc
 
 
 def sample_clients(n_clients: int, fraction: float, round_index: int, seed: int) -> np.ndarray:
@@ -214,7 +225,10 @@ class SimState:
     uploaded: np.ndarray  # int64, (clients, layers)
 
 
-def init_state(config: ExperimentConfig, shards: list[np.ndarray] | None = None) -> SimState:
+def init_state(config: ExperimentConfig) -> SimState:
+    """The state before round 1. Clients hold the shards of ``data.partition``
+    if it names a file, read before the dataset, else a Dirichlet split."""
+    shards = read_partition(config.data.partition) if config.data.partition else None
     dataset = load_dataset(config.data, config.seed)
     if shards is None:
         shards = dirichlet_partition(
@@ -303,7 +317,7 @@ def _round_metrics(
     loss, acc = evaluate(state.global_model, data.test_x, data.test_y, act_bits=None)
     per_client = tuple(upload_bits.get(n, 0) for n in range(config.clients))
     return RoundMetrics(
-        round_index=round_index,
+        round=round_index,
         test_loss=loss,
         test_accuracy=acc,
         global_bits=tuple(float(x) for x in global_bits),
@@ -376,8 +390,6 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
-    shards: list[np.ndarray] | None = None,
-    config_text: str | None = None,
 ) -> tuple[list[RoundMetrics], SimState]:
     """Full T-round experiment; optionally writes the output directory.
 
@@ -385,7 +397,7 @@ def run_experiment(
     initialization. Two runs with the same config produce byte-identical
     metrics.csv and rounds.jsonl; wall-clock timings go to a separate file.
     """
-    state = init_state(config, shards)
+    state = init_state(config)
     metrics: list[RoundMetrics] = []
     if config.rounds == 0:
         metrics.append(_round_metrics(state, config, 0, {}, time.perf_counter()))
@@ -399,7 +411,7 @@ def run_experiment(
             metrics[-1].test_accuracy,
         )
     if out_dir is not None:
-        write_outputs(Path(out_dir), config, metrics, state, config_text)
+        write_outputs(Path(out_dir), config, metrics, state)
     return metrics, state
 
 
@@ -422,8 +434,10 @@ def write_outputs(
     config: ExperimentConfig,
     metrics: list[RoundMetrics],
     state: SimState,
-    config_text: str | None = None,
 ) -> None:
+    # config.py imports this module, so its serializer is imported here.
+    from .config import serialize_config
+
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text("\n".join(metrics_csv_rows(metrics)) + "\n")
     with open(out_dir / "rounds.jsonl", "w") as fh:
@@ -432,42 +446,36 @@ def write_outputs(
     with open(out_dir / "timings.csv", "w") as fh:
         fh.write("round,wall_time_sec\n")
         for m in metrics:
-            fh.write(f"{m.round_index},{m.wall_time_sec!r}\n")
+            fh.write(f"{m.round},{m.wall_time_sec!r}\n")
 
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     widths = state.global_widths
     if widths is None:
-        widths = np.full(len(state.global_model.spec.layers), 8, dtype=np.int64)
+        widths = np.full(len(state.global_model.spec.layers), MAX_BITS, dtype=np.int64)
     layers = binary_representation(state.global_model.layers, widths)
     write_checkpoint(ckpt_dir / "final.fmpq", layers)
     np.savez(
         ckpt_dir / "final_biases.npz",
         **{f"bias_{i}": b for i, b in enumerate(state.global_model.biases)},
     )
-    if config_text is not None:
-        manifest = {
-            "algorithm": config.algorithm,
-            "seed": config.seed,
-            "rounds": config.rounds,
-            "budgets": list(config.budgets),
-            "config": config_text,
-            "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-            "checkpoint_bits": [int(b) for b in widths],
-            "param_counts": [int(c) for c in state.global_model.spec.param_counts],
-            "files": [
-                "metrics.csv",
-                "rounds.jsonl",
-                "timings.csv",
-                "checkpoints/final.fmpq",
-                "checkpoints/final_biases.npz",
-            ],
-            "version": _package_version(),
-        }
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
+    config_text = serialize_config(config)
+    manifest = {
+        "algorithm": config.algorithm,
+        "seed": config.seed,
+        "rounds": config.rounds,
+        "budgets": list(config.budgets),
+        "config": config_text,
+        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "checkpoint_bits": [int(b) for b in widths],
+        "param_counts": [int(c) for c in state.global_model.spec.param_counts],
+        "files": [
+            "metrics.csv",
+            "rounds.jsonl",
+            "timings.csv",
+            "checkpoints/final.fmpq",
+            "checkpoints/final_biases.npz",
+        ],
+        "version": __version__,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

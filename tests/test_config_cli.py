@@ -15,16 +15,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedmpq.checkpoint import write_checkpoint
-from fedmpq.cli import _load_partition_file, build_parser, main
+from fedmpq.cli import build_parser, main
 from fedmpq.config import (
     OVERRIDE_KEYS,
     ConfigError,
     apply_overrides,
+    parse_config,
     parse_config_text,
     serialize_config,
 )
 from fedmpq.quant import plane_density, quantize
-from fedmpq.simulation import ExperimentConfig
+from fedmpq.simulation import ExperimentConfig, read_partition, run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
@@ -303,6 +304,12 @@ class TestCmdRun:
         assert config.seed == 9
         assert serialize_config(config) == manifest["config"]
 
+    def test_library_run_writes_the_cli_manifest(self, config_file, tmp_path):
+        assert main(["run", str(config_file), "--out", str(tmp_path / "cli"), "--seed", "9"]) == 0
+        run_experiment(parse_config(config_file, {"seed": "9"}), tmp_path / "lib")
+        manifests = [(tmp_path / d / "manifest.json").read_bytes() for d in ("cli", "lib")]
+        assert manifests[0] == manifests[1]
+
 
 class TestCmdInspect:
     def test_uniform_four_bit_average(self, tmp_path, capsys):
@@ -355,7 +362,6 @@ class TestCmdPartition:
         def mean_tv(path):
             # Mean total-variation distance of client label histograms
             # from uniform; the dataset is deterministic given the config.
-            from fedmpq.config import parse_config
             from fedmpq.data import load_dataset
 
             record = json.loads(path.read_text())
@@ -380,6 +386,18 @@ class TestCmdPartition:
         assert main(self.partition_args(config_file, shards)) == 0
         out = tmp_path / "out"
         assert main(["run", str(config_file), "--out", str(out), "--partition", str(shards)]) == 0
+
+    def test_library_run_reads_the_partition_file(self, tmp_path):
+        # A hand-made 119/1 split, which the Dirichlet draw at this seed is not.
+        split = tmp_path / "p.json"
+        split.write_text(json.dumps({"shards": [list(range(119)), [119]]}))
+        text = MINIMAL.replace("clients = 1", "clients = 2").replace("budgets = 8", "budgets = 8,8")
+        config_file = tmp_path / "split.ini"
+        config_file.write_text(text.replace("algorithm = fp32", "algorithm = aqfl") + f"partition = {split}\n")
+        assert main(["run", str(config_file), "--out", str(tmp_path / "cli")]) == 0
+        run_experiment(parse_config(config_file), tmp_path / "lib")
+        for name in ("metrics.csv", "rounds.jsonl"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
 
 
 class TestCmdCompare:
@@ -462,7 +480,7 @@ class TestMalformedInputs:
     def test_partition_empty_shard_is_int64(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"shards": [[], [0, 1]]}))
-        empty, full = _load_partition_file(str(path))
+        empty, full = read_partition(str(path))
         assert empty.dtype == full.dtype == np.int64 and empty.size == 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

@@ -23,7 +23,7 @@ from fedmpq.nn import (
     local_update_dense,
     softmax_cross_entropy,
 )
-from fedmpq.quant import QuantizedLayer, dequantize
+from fedmpq.quant import QuantizedLayer, dequantize, wire_bits
 from fedmpq.server import binary_representation
 from fedmpq.ste import UpdateContext, group_lasso, sgd_step
 
@@ -402,7 +402,7 @@ class TestLocalUpdate:
             self.cfg(),
             np.random.default_rng(0),
         )
-        assert trained.bit_widths == (5, 5)
+        assert tuple(map(wire_bits, trained.layers)) == (5, 5)
 
     def test_threshold_one_prunes_to_single_bit(self, blob_shard):
         model = self.model()
@@ -413,7 +413,7 @@ class TestLocalUpdate:
             self.cfg(prune_threshold=1.0),
             np.random.default_rng(0),
         )
-        assert trained.bit_widths == (1, 1)
+        assert tuple(map(wire_bits, trained.layers)) == (1, 1)
 
     def test_widths_never_increase(self, blob_shard):
         model = self.model(bits=3)
@@ -424,7 +424,7 @@ class TestLocalUpdate:
             self.cfg(prune_threshold=0.2),
             np.random.default_rng(1),
         )
-        assert all(1 <= w <= 3 for w in trained.bit_widths)
+        assert all(1 <= wire_bits(l) <= 3 for l in trained.layers)
 
     def test_empty_shard_returns_model_unchanged(self):
         model = self.model()
@@ -436,7 +436,7 @@ class TestLocalUpdate:
             np.random.default_rng(0),
         )
         assert trained is model
-        assert trained.bit_widths == (5, 5)
+        assert tuple(map(wire_bits, trained.layers)) == (5, 5)
 
     def test_determinism(self, blob_shard):
         outs = []
@@ -539,7 +539,9 @@ class TestLocalUpdateDense:
         model = init_dense_model(spec, np.random.default_rng([5, 202]))
         before = [w.copy() for w in model.layers]
         x, y = blob_shard.train_x, blob_shard.train_y
-        cfg = TrainConfig(local_epochs=1, batch_size=len(y), learning_rate=0.1, weight_decay=0.01)
+        cfg = TrainConfig(
+            local_epochs=1, batch_size=len(y), learning_rate=0.1, weight_decay=0.01, activation_bits=None
+        )
         trained = local_update_dense(model, x, y, cfg, np.random.default_rng(4))
 
         order = np.random.default_rng(4).permutation(len(y))
@@ -562,7 +564,9 @@ class TestLocalUpdateDense:
         model = init_dense_model(spec, np.random.default_rng([5, 202]))
         x, y = blob_shard.train_x.reshape(-1, *spec.input_shape), blob_shard.train_y
         half = (len(y) + 1) // 2
-        cfg = TrainConfig(local_epochs=1, batch_size=half, learning_rate=0.1, weight_decay=0.01)
+        cfg = TrainConfig(
+            local_epochs=1, batch_size=half, learning_rate=0.1, weight_decay=0.01, activation_bits=None
+        )
         trained = local_update_dense(model, x, y, cfg, np.random.default_rng(4))
 
         order = np.random.default_rng(4).permutation(len(y))
@@ -587,7 +591,9 @@ def test_trained_arrays_pin_no_training_state(blob_shard, kind):
     spec = SHARD_SPECS[kind]
     x, y = blob_shard.train_x.reshape(-1, *spec.input_shape), blob_shard.train_y
     dense = init_dense_model(spec, np.random.default_rng(8))
-    cfg = TrainConfig(local_epochs=1, batch_size=32, learning_rate=0.1, lasso_coeff=0.01)
+    cfg = TrainConfig(
+        local_epochs=1, batch_size=32, learning_rate=0.1, lasso_coeff=0.01, activation_bits=None
+    )
     for trained in (
         local_update(quantized(dense, [4, 4]), x, y, cfg, np.random.default_rng(0)),
         local_update_dense(dense, x, y, cfg, np.random.default_rng(0)),

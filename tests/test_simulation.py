@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from fedmpq import server, simulation
 from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import ModelConfig, TrainConfig
+from fedmpq.quant import wire_bits
 from fedmpq.server import pruning_growing
 from fedmpq.simulation import (
     METRICS_COLUMNS,
@@ -81,11 +83,14 @@ class TestDirichletPartition:
         with pytest.raises(PartitionError, match="larger dataset or a larger alpha"):
             dirichlet_partition(labels, 10, alpha=0.5, seed=0, max_retries=50)
 
-    def test_init_state_rejects_a_wrong_shard_count(self):
+    def test_init_state_rejects_a_wrong_shard_count(self, tmp_path):
         config = small_config(clients=2, budgets=(8, 8))
         shards = np.array_split(np.arange(config.data.train_samples), 3)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"shards": [s.tolist() for s in shards]}))
+        config = replace(config, data=replace(config.data, partition=str(path)))
         with pytest.raises(PartitionError, match="^partition holds 3 shards but the config has 2 clients$"):
-            init_state(config, shards)
+            init_state(config)
 
 
 class TestSampleClients:
@@ -218,7 +223,8 @@ def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
     local_update = simulation.local_update
 
     def spy(model, *args, **kwargs):
-        delivered.append((model.bit_widths, model.layers, [l.codes.copy() for l in model.layers]))
+        widths = tuple(map(wire_bits, model.layers))
+        delivered.append((widths, model.layers, [l.codes.copy() for l in model.layers]))
         return local_update(model, *args, **kwargs)
 
     monkeypatch.setattr(simulation, "local_update", spy)
@@ -281,12 +287,12 @@ class TestRunExperiment:
     def test_zero_rounds_evaluates_init_only(self):
         metrics, _ = run_experiment(small_config(rounds=0))
         assert len(metrics) == 1
-        assert metrics[0].round_index == 0
+        assert metrics[0].round == 0
         assert 0.0 <= metrics[0].test_accuracy <= 1.0
 
     def test_one_row_per_round(self):
         metrics, _ = run_experiment(small_config(rounds=3))
-        assert [m.round_index for m in metrics] == [1, 2, 3]
+        assert [m.round for m in metrics] == [1, 2, 3]
 
     def test_metrics_files_byte_identical_across_runs(self, tmp_path):
         config = small_config(rounds=2)

@@ -6,6 +6,10 @@ some Name or Attribute node in ``src/``, ``bench/`` or ``scripts/`` carries
 its name. Import aliases are not Name nodes, so a re-export alone does not
 count, and neither do references from ``tests/``: a helper only tests call
 belongs in ``tests/helpers.py``.
+
+Since names match bare, a method that two classes define counts as used
+when either is; so no two classes define a member of one name, except the
+interface both layer specs implement.
 """
 
 import ast
@@ -14,6 +18,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/fedmpq"
 CALLERS = ("src", "bench", "scripts")
+# The LayerSpec interface: DenseSpec and Conv2dSpec both implement it.
+SHARED_MEMBERS = {"weight_shape"}
 
 
 def _trees(*dirs):
@@ -51,3 +57,12 @@ def test_every_definition_is_used_outside_tests():
     used = _references()
     unused = [f"{module}.{qual}" for module, qual, name in _definitions() if name not in used]
     assert not unused, f"defined in src/fedmpq but used only by tests, or by nothing: {unused}"
+
+
+def test_no_member_name_is_defined_by_two_classes():
+    owners = {}
+    for module, qual, name in _definitions():
+        if "." in qual:
+            owners.setdefault(name, []).append(f"{module}.{qual}")
+    shared = {n: q for n, q in owners.items() if len(q) > 1 and n not in SHARED_MEMBERS}
+    assert not shared, f"member names defined by more than one class in src/fedmpq: {shared}"
