@@ -91,6 +91,11 @@ OVERRIDE_KEYS = {
 
 _FLAG_SECTIONS = {key: s for s, keys in _SCHEMA.items() for key in keys if key in OVERRIDE_KEYS}
 
+# [data] keys that name files. parse_config reads a relative path written in
+# the INI against the INI's folder; a flag's value stays relative to the
+# working directory, and an empty value stays unset.
+_FILE_KEYS = ("train_images", "train_labels", "test_images", "test_labels", "partition")
+
 
 def _line_of(text: str, section: str, key: str) -> int | None:
     """The line of ``key`` in ``[section]``, matched as configparser reads a
@@ -106,12 +111,16 @@ def _line_of(text: str, section: str, key: str) -> int | None:
 
 
 def parse_config_text(
-    text: str, overrides: dict[str, str] | None = None, source: str = "<string>"
+    text: str,
+    overrides: dict[str, str] | None = None,
+    source: str = "<string>",
+    folder: str | Path | None = None,
 ) -> ExperimentConfig:
     """The config in INI ``text``, with ``overrides`` (see OVERRIDE_KEYS) set on top.
 
     An error names the line of ``text`` that holds the key, or the flag that
     set it; a malformed INI names ``source``, the file the text came from.
+    Given a ``folder``, a relative file path in ``text`` is read against it.
     """
     # No header can name the empty section, so a [DEFAULT] section is an
     # unknown section rather than keys merged into every other section.
@@ -145,6 +154,9 @@ def parse_config_text(
             parse = _SCHEMA[section].get(key)
             if parse is None:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]{where(section, key)}")
+            if folder is not None and section == "data" and key in _FILE_KEYS:
+                if (section, key) not in flagged and raw.strip():
+                    raw = str(Path(folder) / raw.strip())
             try:
                 values[section][key] = parse(raw)
             except (ValueError, KeyError) as exc:
@@ -162,12 +174,13 @@ def parse_config_text(
 
 
 def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """The config in an INI file, with ``overrides`` (see OVERRIDE_KEYS) applied."""
+    """The config in an INI file, with ``overrides`` (see OVERRIDE_KEYS) applied.
+    A relative file path in the INI names a file next to it."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, overrides, str(path))
+    return parse_config_text(text, overrides, str(path), Path(path).parent)
 
 
 def _fmt_value(value) -> str:

@@ -332,9 +332,10 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams=()) -> Mo
     Every bias and weight matrix has a region of one flat parameter vector
     p (laid out by ``spec.flat_layout``); the gradients g and the momentum
     m are two more vectors of the same layout. The working model's biases
-    and real matrices are views into p; a QuantizedLayer's region holds
-    the matrix ``forward`` dequantized for this minibatch. Each minibatch
-    takes m = momentum * m + (g + weight_decay * p) over the whole vector.
+    and real matrices are views into p. Each minibatch takes
+    m = momentum * m + (g + weight_decay * w) over the whole vector, where
+    w is p for a real region and, for a QuantizedLayer, the matrix
+    ``forward`` dequantized for this minibatch (its region of p is unused).
     A QuantizedLayer then takes the snapped step
     ``sgd_step(layer, m_l, ctx, lams[l])`` with the client's one
     UpdateContext, in layer order; every real region takes p - lr * m.
@@ -344,27 +345,26 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams=()) -> Mo
     size = weight_at[-1].stop
     p, g, m, t = np.empty(size), np.empty(size), np.zeros(size), np.empty(size)
 
-    def views(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return [flat[r] for r in bias_at], [
-            flat[r].reshape(s.weight_shape) for r, s in zip(weight_at, spec.layers)
-        ]
+    def matrix(flat: np.ndarray, l: int) -> np.ndarray:
+        return flat[weight_at[l]].reshape(spec.layers[l].weight_shape)
 
-    biases, slots = views(p)
-    grads_b, grads_w = views(g)
-    _, momenta = views(m)
-    for bias, given in zip(biases, model.biases):
-        np.copyto(bias, given)
+    biases = [p[r] for r in bias_at]
+    grads_b = [g[r] for r in bias_at]
+    grads_w = [matrix(g, l) for l in range(len(bias_at))]
+    momenta = [matrix(m, l) for l in range(len(bias_at))]
+    np.concatenate(model.biases, out=p[: weight_at[0].start])
     layers = list(model.layers)
     quantized = [l for l, layer in enumerate(layers) if isinstance(layer, QuantizedLayer)]
     reals = [l for l in range(len(layers)) if l not in quantized]
     for l in reals:
-        np.copyto(slots[l], layers[l])
-        layers[l] = slots[l]
+        layers[l] = matrix(p, l)
+        np.copyto(layers[l], model.layers[l])
     # All biases, then each real matrix; an all-real model is one region.
     real_at = [slice(0, size)]
     if quantized:
         real_at = [slice(0, weight_at[0].start), *(weight_at[l] for l in reals)]
     moves = [(p[r], m[r], t[r]) for r in real_at]
+    decays = [(l, matrix(t, l)) for l in quantized]
     work = Model(spec, layers, biases)
     ctx = UpdateContext(cfg.learning_rate, rng)
 
@@ -376,11 +376,12 @@ def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams=()) -> Mo
             logits, cache = forward(work, features[sel], cfg.activation_bits)
             _, dlogits = softmax_cross_entropy(logits, labels[sel])
             backward(cache, dlogits, grads_w, grads_b)
-            for l in quantized:
-                np.copyto(slots[l], cache.weights[l])
-            # m = momentum * m + (g + weight_decay * p); float addition and
+            # m = momentum * m + (g + weight_decay * w); float addition and
             # multiplication commute, so each entry's bits are as before.
-            np.multiply(p, cfg.weight_decay, out=t)
+            for p_r, _, t_r in moves:
+                np.multiply(p_r, cfg.weight_decay, out=t_r)
+            for l, t_l in decays:
+                np.multiply(cache.weights[l], cfg.weight_decay, out=t_l)
             t += g
             m *= cfg.momentum
             m += t

@@ -10,6 +10,7 @@ representable range is [-s*z/(2^b-1), s*(2^b-1-z)/(2^b-1)].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,9 +146,10 @@ def average_bits(widths, param_counts) -> float:
     """Parameter-count-weighted mean of integer bit widths. The weighted sum
     is exact in Python integers and divided once, so every caller gets one
     value; on a few layers this is faster than numpy's calls."""
-    counts = np.asarray(param_counts, dtype=np.int64).tolist()
-    widths = np.asarray(widths, dtype=np.int64).tolist()
-    return sum(w * c for w, c in zip(widths, counts, strict=True)) / sum(counts)
+    widths, counts = list(map(int, widths)), list(map(int, param_counts))
+    if len(widths) != len(counts):
+        raise ValueError(f"{len(widths)} widths for {len(counts)} parameter counts")
+    return sum(map(operator.mul, widths, counts)) / sum(counts)
 
 
 def quantize(weights: np.ndarray, bit_width: int) -> QuantizedLayer:
@@ -218,9 +220,11 @@ def prune_msbs(layer: QuantizedLayer, epsilon: float) -> tuple[QuantizedLayer, i
     """
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must lie in [0, 1]")
-    densities = plane_density(layer)
+    # Only the planes the walk tests are counted, each in one pass over the
+    # codes: the top plane is the sign plane and stops most walks at once.
+    codes, n = layer.codes, layer.num_params
     width = layer.bit_width
-    while width > 1 and densities[width - 1] <= epsilon:
+    while width > 1 and np.count_nonzero(codes & _PLANE_MASKS[width - 1]) / n <= epsilon:
         width -= 1
     if width == layer.bit_width:
         return layer, width

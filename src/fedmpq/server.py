@@ -11,6 +11,7 @@ to its budget by the greedy pruning-growing policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .quant import (
 
 def check_width_budget(client_id: int, bit_widths, param_counts, budget: float, what: str) -> None:
     """Average bits must fit the budget, one growing step of slack allowed."""
-    m = np.asarray(param_counts, dtype=np.int64)
-    avg = average_bits(bit_widths, m)
-    slack = float(m.max()) / m.sum()
+    counts = [int(c) for c in param_counts]
+    avg = average_bits(bit_widths, counts)
+    slack = max(counts) / sum(counts)
     if avg > budget + slack + 1e-9:
         raise ValueError(
             f"client {client_id}: {what} average {avg:.3f} bits exceeds its budget {budget}"
@@ -48,21 +49,21 @@ class ClientUpdate:
     budget: float
 
     def __post_init__(self):
-        if (self.reductions < 0).any():
+        if any(d < w for d, w in zip(self.delivered_bits, self.bit_widths, strict=True)):
             raise ValueError("local training can only reduce bit-widths")
         if self.num_samples < 0:
             raise ValueError("num_samples must be non-negative")
 
-    @property
+    @cached_property
     def bit_widths(self) -> tuple[int, ...]:
-        """Widths the layers travel at: 32 for a real matrix."""
+        """Widths the layers travel at: 32 for a real matrix. Computed once;
+        the checks, the upload cost, the round state and aggregate read it."""
         return tuple(wire_bits(l) for l in self.layers)
 
     @property
     def reductions(self) -> np.ndarray:
         """How many planes local training cut from each layer."""
-        delivered = np.asarray(self.delivered_bits, dtype=np.int64)
-        return delivered - np.asarray(self.bit_widths, dtype=np.int64)
+        return np.subtract(self.delivered_bits, self.bit_widths, dtype=np.int64)
 
     def check_budget(self, param_counts: np.ndarray) -> None:
         check_width_budget(self.client_id, self.bit_widths, param_counts, self.budget, "upload")
@@ -92,16 +93,18 @@ def aggregate(
     p = aggregation_weights(ups)
     n_layers = len(ups[0].layers)
     # Each sum starts at zero: 0.0 plus the first term makes a float64 array,
-    # which the later terms are added into.
+    # which the later terms are added into. The widths are summed in Python
+    # floats, the same IEEE operations as a float64 vector without its calls.
     weights = [0.0] * n_layers
     biases = [0.0] * n_layers
-    bits = np.zeros(n_layers)
-    for p_n, u in zip(p, ups):
-        for l in range(n_layers):
-            weights[l] += p_n * dequantize(u.layers[l])
-            biases[l] += p_n * u.biases[l]
-        bits += p_n * np.asarray(u.bit_widths, dtype=np.float64)
-    return weights, biases, bits
+    bits = [0.0] * n_layers
+    for p_n, u in zip(p.tolist(), ups):
+        per_layer = zip(u.layers, u.biases, u.bit_widths, strict=True)
+        for l, (layer, bias, width) in enumerate(per_layer):
+            weights[l] += p_n * dequantize(layer)
+            biases[l] += p_n * bias
+            bits[l] += p_n * width
+    return weights, biases, np.array(bits)
 
 
 def round_bitwidths(bits) -> np.ndarray:
@@ -121,14 +124,17 @@ def pruning_growing(bits, delta_bits, param_counts, budget: float) -> np.ndarray
     is never grown and the final average may overshoot the budget by less
     than one step of the largest layer. Exactly on budget, nothing changes.
     """
-    b = np.asarray(bits, dtype=np.int64).copy()
+    b = np.asarray(bits, dtype=np.int64)
     m = np.asarray(param_counts, dtype=np.int64)
     d = np.asarray(delta_bits, dtype=np.int64)
     if b.shape != m.shape or d.shape != m.shape:
         raise ValueError("bits, delta_bits, and param_counts must share a shape")
-    if (b < 1).any() or (b > MAX_BITS).any():
+    # A few layers: Python ints cost less than numpy calls, and are exact.
+    b, m, d = b.tolist(), m.tolist(), d.tolist()
+    if any(not (1 <= w <= MAX_BITS) for w in b):
         raise ValueError(f"bit widths must lie in [1, {MAX_BITS}]")
-    order = np.argsort(-(m * (d + 1)), kind="stable")
+    # Python's sort is stable: equal priorities keep the lower index first.
+    order = sorted(range(len(m)), key=lambda l: -m[l] * (d[l] + 1))
     v = average_bits(b, m)
     if v > budget:
         cur = 0
@@ -148,7 +154,7 @@ def pruning_growing(bits, delta_bits, param_counts, budget: float) -> np.ndarray
                 v = average_bits(b, m)
             else:
                 cur -= 1
-    return b
+    return np.array(b, dtype=np.int64)
 
 
 def binary_representation(

@@ -34,7 +34,7 @@ from .nn import (
     local_update,
     local_update_dense,
 )
-from .quant import FP_WIRE_BITS, MAX_BITS, QuantizedLayer, average_bits, plane_density
+from .quant import FP_WIRE_BITS, MAX_BITS, QuantizedLayer, plane_density
 from .server import (
     ClientUpdate,
     aggregate,
@@ -130,13 +130,16 @@ def dirichlet_partition(
 
     Per class, the client proportions are drawn from a symmetric Dirichlet
     with concentration ``alpha``; smaller alpha means more skew. The whole
-    draw is retried until every client holds at least one sample.
+    draw is retried until every client holds at least one sample. Labels
+    are class indices, non-negative integers.
     """
     if not (0.0 < alpha < math.inf):
         raise ValueError("alpha must be positive and finite")
     labels = np.asarray(labels)
     rng = np.random.default_rng([seed, _SALT_PARTITION])
-    classes = np.unique(labels)
+    # The classes present, in increasing order; np.unique would import
+    # numpy.ma into every run.
+    classes = np.flatnonzero(np.bincount(labels))
     for _ in range(max_retries):
         shards: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
         for cls in classes:
@@ -172,6 +175,13 @@ def read_partition(path: str) -> list[np.ndarray]:
         return [np.asarray(s, dtype=np.int64) for s in shards]
     except OverflowError as exc:
         raise PartitionError(f"partition file {path}: {exc}") from exc
+
+
+def shards_sha256(shards: list[np.ndarray]) -> str:
+    """SHA-256 of the shards written as a partition file's ``shards`` list,
+    ``json.dumps`` of the lists of indices, so a run names the split it
+    trained on whether it came from a file or from the Dirichlet draw."""
+    return hashlib.sha256(json.dumps([s.tolist() for s in shards]).encode()).hexdigest()
 
 
 def sample_clients(n_clients: int, fraction: float, round_index: int, seed: int) -> np.ndarray:
@@ -283,17 +293,19 @@ def upload_cost_bits(update: ClientUpdate) -> int:
     biases travel at 32 bits per entry.
     """
     total = FP_WIRE_BITS * sum(len(b) for b in update.biases)
-    for layer in update.layers:
-        if isinstance(layer, QuantizedLayer):
-            total += 8 * record_bytes(layer)
-        else:
-            total += FP_WIRE_BITS * layer.size
+    for layer, bits in zip(update.layers, update.bit_widths):
+        # Only a real matrix has the 32-bit width.
+        total += bits * layer.size if bits == FP_WIRE_BITS else 8 * record_bytes(layer)
     return total
 
 
 def _client_avg_bits(state: SimState) -> tuple[float, ...]:
-    """Weighted average delivered width per client."""
-    return tuple(average_bits(row, state.global_model.spec.param_counts) for row in state.delivered)
+    """Weighted average delivered width per client: average_bits for every
+    row at once. The int64 sums are exact and each is divided once, as the
+    Python integers are."""
+    counts = state.global_model.spec.param_counts
+    sums = state.delivered @ np.array(counts, dtype=np.int64)
+    return tuple((sums / sum(counts)).tolist())
 
 
 def _global_densities(state: SimState) -> tuple[tuple[float, ...], ...]:
@@ -358,8 +370,8 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
                 trained = local_update(model, xs, ys, arm.train, rng)
             else:
                 trained = local_update_dense(global_model, xs, ys, arm.train, rng)
-            trained_arrays = list(trained.biases) + ([] if arm.quantized else trained.layers)
-            if not all(np.isfinite(a).all() for a in trained_arrays):
+            trained_arrays = [*trained.biases, *([] if arm.quantized else trained.layers)]
+            if not np.isfinite(np.concatenate(trained_arrays, axis=None)).all():
                 raise ValueError("trained model is not finite")
         except ValueError as exc:
             raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
@@ -367,7 +379,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
             client_id=n,
             layers=tuple(trained.layers),
             biases=tuple(trained.biases),
-            delivered_bits=tuple(int(b) for b in widths),
+            delivered_bits=tuple(widths.tolist()),
             num_samples=len(ys),
             budget=float(config.budgets[n]),
         )
@@ -467,6 +479,7 @@ def write_outputs(
         "budgets": list(config.budgets),
         "config": config_text,
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "shards_sha256": shards_sha256(state.shards),
         "checkpoint_bits": [int(b) for b in widths],
         "param_counts": [int(c) for c in state.global_model.spec.param_counts],
         "files": [

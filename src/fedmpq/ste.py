@@ -52,8 +52,7 @@ def ste_backward(grad_w: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
         raise ValueError(
             f"gradient shape {g.shape} does not match layer {(layer.rows, layer.cols)}"
         )
-    factors = layer.step * PLANE_WEIGHTS[: layer.bit_width]
-    return factors[:, None, None] * g[None, :, :]
+    return np.multiply.outer(layer.step * PLANE_WEIGHTS[: layer.bit_width], g)
 
 
 def group_lasso(layer: QuantizedLayer, weight: float = 1.0) -> tuple[float, np.ndarray]:
@@ -117,6 +116,8 @@ def fixed_point_delta(
     When no plane step reaches one grid step (most calls), the mask, the
     masked sum and the cap are skipped: each sub-step is at most 1/2, so
     the total is at most floor(b/2) + 1 <= 2^b - 1 and the cap cannot bind.
+    The per-entry sums are taken first: where none reaches 1, no step does,
+    so the full-size maximum over the steps is skipped too.
     """
     g = np.asarray(plane_grads, dtype=np.float64)
     b = layer.bit_width
@@ -130,14 +131,19 @@ def fixed_point_delta(
         raise ValueError("grad_w shape does not match the layer")
 
     work = plane_steps(g, ctx.lr)
-    any_whole = np.maximum.reduce(work, axis=None) >= 1.0
+    p = np.add.reduce(work, axis=0)
+    # The steps are non-negative, so no step reaches 1 where their sum does
+    # not; the full-size maximum runs only where some sum does.
+    any_whole = (
+        np.maximum.reduce(p, axis=None) >= 1.0 and np.maximum.reduce(work, axis=None) >= 1.0
+    )
     if any_whole:
         whole = work >= 1.0
         whole_steps = np.add.reduce(work, axis=0, where=whole)
         # Steps are +0, powers of two or +inf, so the zeroed whole steps add
         # nothing to p.
         np.copyto(work, 0.0, where=whole)
-    p = np.add.reduce(work, axis=0)
+        p = np.add.reduce(work, axis=0)
 
     # The steps are summed, so their buffer takes the weighted gradients: a
     # fresh full-size array per call costs more in page faults than in math.

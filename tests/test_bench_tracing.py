@@ -3,7 +3,7 @@
 ``bench/run.py --trace 1`` wraps the functions listed in bench/tracing.py
 wherever a fedmpq module holds them, and fails its run when one that must
 run on the workload records no call. This runs that wrapping on short
-versions of two benchmark workloads, so a refactor that renames, inlines or
+versions of the benchmark workloads, so a refactor that renames, inlines or
 stops calling a traced function fails here too. The bench files are only
 read.
 """
@@ -30,7 +30,7 @@ tracing = _load("tracing")
 workloads = _load("workloads")
 
 
-@pytest.mark.parametrize("name", ["train-fedmpq", "train-fp32"])
+@pytest.mark.parametrize("name", ["train-fedmpq", "train-fp32", "cross-device"])
 def test_traced_run_records_every_required_call(name, tmp_path):
     # Two rounds of one local epoch keep the workload's data and model, so
     # the tracer still sees the layer shapes it splits its metrics by.

@@ -399,6 +399,64 @@ class TestCmdPartition:
         for name in ("metrics.csv", "rounds.jsonl"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
 
+    def two_client_split_ini(self, folder: Path, partition: str) -> Path:
+        folder.mkdir(exist_ok=True)
+        text = MINIMAL.replace("clients = 1", "clients = 2").replace("budgets = 8", "budgets = 8,8")
+        config_file = folder / "split.ini"
+        config_file.write_text(text + f"partition = {partition}\n")
+        return config_file
+
+    def test_relative_partition_in_the_ini_is_next_to_it(self, tmp_path, monkeypatch, capsys):
+        # relcheck/split.ini names p.json, which sits beside it; the run is
+        # started from relcheck's parent folder.
+        config_file = self.two_client_split_ini(tmp_path / "relcheck", "p.json")
+        (tmp_path / "relcheck" / "p.json").write_text(json.dumps({"shards": [list(range(119)), [119]]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "relcheck/split.ini", "--out", "o"]) == 0
+        assert parse_config("relcheck/split.ini").data.partition == str(Path("relcheck", "p.json"))
+        capsys.readouterr()
+        # A flag's path stays relative to the working directory.
+        assert main(["run", "relcheck/split.ini", "--out", "o2", "--partition", "p.json"]) == 1
+        assert capsys.readouterr().err.startswith("run failed: cannot read partition file p.json:")
+
+    @pytest.mark.parametrize("key", ["partition", *IDX_KEYS])
+    def test_ini_paths_resolve_against_the_ini_folder(self, tmp_path, key):
+        ini = tmp_path / "sub" / "c.ini"
+        ini.parent.mkdir()
+        ini.write_text(MINIMAL + f"{key} = data/{key}.bin\n")
+        assert getattr(parse_config(ini).data, key) == str(tmp_path / "sub" / "data" / f"{key}.bin")
+        # Absolute and empty values are kept as written; an empty one stays unset.
+        for value in (str(tmp_path / "abs.bin"), ""):
+            ini.write_text(MINIMAL + f"{key} = {value}\n")
+            assert getattr(parse_config(ini).data, key) == value
+
+    def test_manifest_names_the_shards(self, tmp_path):
+        # Two split files written in turn to one path: the same config text,
+        # different shards, different manifests.
+        config_file = self.two_client_split_ini(tmp_path, "p.json")
+        manifests = []
+        for run, shards in enumerate(([list(range(119)), [119]], [list(range(60)), list(range(60, 120))])):
+            (tmp_path / "p.json").write_text(json.dumps({"shards": shards}))
+            assert main(["run", str(config_file), "--out", str(tmp_path / f"cli{run}")]) == 0
+            run_experiment(parse_config(config_file), tmp_path / f"lib{run}")
+            cli, lib = ((tmp_path / f"{d}{run}" / "manifest.json").read_bytes() for d in ("cli", "lib"))
+            assert cli == lib
+            manifest = json.loads(cli)
+            assert manifest["shards_sha256"] == hashlib.sha256(json.dumps(shards).encode()).hexdigest()
+            manifests.append(manifest)
+        assert manifests[0]["config"] == manifests[1]["config"]
+        assert manifests[0]["shards_sha256"] != manifests[1]["shards_sha256"]
+
+    def test_manifest_names_dirichlet_shards(self, config_file, tmp_path):
+        # A Dirichlet split is named by the same digest as the file
+        # `fedmpq partition` writes for it.
+        flags = ["--clients", "4", "--budgets", "2,4,6,8"]
+        assert main(self.partition_args(config_file, tmp_path / "p.json", flags)) == 0
+        assert main(["run", str(config_file), "--out", str(tmp_path / "o"), *flags]) == 0
+        shards = json.loads((tmp_path / "p.json").read_text())["shards"]
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["shards_sha256"] == hashlib.sha256(json.dumps(shards).encode()).hexdigest()
+
 
 class TestCmdCompare:
     def test_tabulates_runs(self, config_file, tmp_path, capsys):

@@ -257,6 +257,58 @@ class TestPruneMsbs:
         assert pruned.bit_width == width
         assert pruned.zero_point == 1 << (width - 1)
 
+    @pytest.mark.parametrize("densities, epsilon", [([0.5, 0.9], 0.4), ([0.5, 0.3, 0.1, 0.0], 0.2)])
+    def test_reads_no_histogram(self, monkeypatch, densities, epsilon):
+        # The walk counts only the planes it tests, whether it stops at a
+        # dense top plane or drops sparse ones.
+        layer = build_layer_with_densities(densities, len(densities))
+        histograms = []
+        counts = QuantizedLayer.plane_counts
+        monkeypatch.setattr(
+            QuantizedLayer, "plane_counts", lambda self: histograms.append(self) or counts(self)
+        )
+        prune_msbs(layer, epsilon)
+        assert histograms == []
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_all_densities_walk(self, data):
+        bits = data.draw(st.integers(1, 8), label="bits")
+        rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        # Low codes with a few wide ones, so that top planes are often sparse.
+        low = data.draw(st.integers(0, bits))
+        codes = np.array(
+            data.draw(st.lists(st.integers(0, (1 << low) - 1), min_size=rows * cols, max_size=rows * cols)),
+            dtype=np.int64,
+        ).reshape(rows, cols)
+        for _ in range(data.draw(st.integers(0, 2))):
+            r, c = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+            codes[r, c] = data.draw(st.integers(0, (1 << bits) - 1))
+        layer = QuantizedLayer.from_codes(codes, data.draw(st.floats(0.01, 100.0)), bits)
+        # Epsilons exactly at a plane's density, at both ends, and anywhere.
+        epsilon = data.draw(
+            st.one_of(st.sampled_from([0.0, 1.0, *plane_density(layer)]), st.floats(0.0, 1.0)),
+            label="epsilon",
+        )
+        pruned, width = prune_msbs(layer, epsilon)
+        want, want_width = _prune_msbs_all_densities(layer, epsilon)
+        assert width == want_width == pruned.bit_width
+        assert pruned.codes.tobytes() == want.codes.tobytes()
+        assert pruned.scale == want.scale
+
+
+def _prune_msbs_all_densities(layer, epsilon):
+    """MSB pruning as it was before it counted planes lazily: every plane's
+    density first, then the walk down from the top plane."""
+    densities = plane_density(layer)
+    width = layer.bit_width
+    while width > 1 and densities[width - 1] <= epsilon:
+        width -= 1
+    if width == layer.bit_width:
+        return layer, width
+    kept = (layer.codes & ((1 << width) - 1)).astype(np.int64)
+    return quantize(layer.step * (kept - layer.zero_point), width), width
+
 
 class TestQuantizeActivations:
     def test_zero_tensor_unchanged(self):

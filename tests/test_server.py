@@ -173,6 +173,45 @@ class TestPruningGrowing:
             np.testing.assert_array_equal(out, bits)
         np.testing.assert_array_equal(out, pruning_growing(bits, delta, m, budget))
 
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300)
+    def test_matches_the_numpy_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        # Small counts and few distinct deltas, so that priorities often tie.
+        bits, delta = rng.integers(1, 9, n), rng.integers(0, 2, n)
+        m = rng.integers(1, 4, n) * int(rng.choice([1, 1000]))
+        budget = float(rng.choice([rng.integers(1, 9), rng.uniform(1, 8)]))
+        out = pruning_growing(bits, delta, m, budget)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, _pruning_growing_numpy(bits, delta, m, budget))
+
+
+def _pruning_growing_numpy(bits, delta_bits, param_counts, budget):
+    """pruning_growing as it ran on numpy vectors: the reference."""
+    b = np.asarray(bits, dtype=np.int64).copy()
+    m = np.asarray(param_counts, dtype=np.int64)
+    d = np.asarray(delta_bits, dtype=np.int64)
+    order = np.argsort(-(m * (d + 1)), kind="stable")
+    v = float(b @ m) / m.sum()
+    if v > budget:
+        cur = 0
+        while v > budget and cur < len(m):
+            if b[order[cur]] > 1:
+                b[order[cur]] -= 1
+                v = float(b @ m) / m.sum()
+            else:
+                cur += 1
+    elif v < budget:
+        cur = len(m) - 1
+        while v < budget and cur > 0:
+            if b[order[cur]] < 8:
+                b[order[cur]] += 1
+                v = float(b @ m) / m.sum()
+            else:
+                cur -= 1
+    return b
+
 
 class TestBinaryRepresentation:
     def test_round_trip_bound(self):

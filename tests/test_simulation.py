@@ -1,21 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmpq import server, simulation
 from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import ModelConfig, TrainConfig
-from fedmpq.quant import wire_bits
+from fedmpq.quant import average_bits, wire_bits
 from fedmpq.server import pruning_growing
 from fedmpq.simulation import (
     METRICS_COLUMNS,
     ExperimentConfig,
     PartitionError,
     _arm_settings,
+    _client_avg_bits,
     _delivery_bits,
     dirichlet_partition,
     init_state,
@@ -82,6 +88,28 @@ class TestDirichletPartition:
         labels = np.zeros(3, dtype=int)
         with pytest.raises(PartitionError, match="larger dataset or a larger alpha"):
             dirichlet_partition(labels, 10, alpha=0.5, seed=0, max_retries=50)
+
+    def test_classes_with_gaps_cover_the_dataset(self):
+        labels = np.array([9, 2, 2, 9, 5, 0, 9, 5] * 10)
+        shards = dirichlet_partition(labels, 3, alpha=0.5, seed=4)
+        np.testing.assert_array_equal(np.sort(np.concatenate(shards)), np.arange(len(labels)))
+
+    def test_init_state_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma, which every run would then load.
+        root = Path(__file__).resolve().parent.parent
+        code = (
+            "import sys\n"
+            "from fedmpq.config import parse_config\n"
+            "from fedmpq.simulation import init_state\n"
+            "init_state(parse_config(sys.argv[1]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(root / "configs" / "blobs.ini")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_init_state_rejects_a_wrong_shard_count(self, tmp_path):
         config = small_config(clients=2, budgets=(8, 8))
@@ -281,6 +309,16 @@ class TestReductionEquivalence:
         m_fed, _ = run_experiment(fed)
         m_aq, _ = run_experiment(aq)
         assert metrics_csv_rows(m_fed) == metrics_csv_rows(m_aq)
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=100, deadline=None)
+def test_client_avg_bits_is_average_bits_per_row(seed):
+    rng = np.random.default_rng(seed)
+    state = init_state(small_config(rounds=0))
+    state.delivered = rng.integers(1, 33, size=state.delivered.shape)
+    counts = state.global_model.spec.param_counts
+    assert _client_avg_bits(state) == tuple(average_bits(row, counts) for row in state.delivered)
 
 
 class TestRunExperiment:
