@@ -118,6 +118,10 @@ class QuantizedLayer:
     @classmethod
     def from_codes(cls, codes: np.ndarray, scale: float, bit_width: int) -> "QuantizedLayer":
         codes = np.asarray(codes)
+        # A float code would be truncated by the uint8 cast, and a NaN one
+        # would pass both range tests.
+        if not np.issubdtype(codes.dtype, np.integer):
+            raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
         # Reject what the uint8 cast would wrap; the width check is the constructor's.
         if codes.size and (
             np.minimum.reduce(codes, axis=None) < 0
@@ -193,10 +197,12 @@ def shift_add_matmul(activations: np.ndarray, layer: QuantizedLayer) -> np.ndarr
     # exactly. One stacked matmul makes one (rows, cols) product per plane;
     # a single (bit_width * rows, cols) product would not do: BLAS picks its
     # kernel by shape, so its rows can round differently. The products are
-    # added in plane order from zero, since np.add.reduce sums pairwise when
-    # the output has one entry.
-    acc = np.zeros((layer.rows, a.shape[1]))
-    for term in layer.masked_codes().astype(np.float64) @ a:
+    # added in plane order, since np.add.reduce sums pairwise when the output
+    # has one entry. The sum starts from plane 0 plus +0.0, which IEEE
+    # addition makes bitwise 0.0 plus plane 0, -0.0 and NaN included.
+    terms = layer.masked_codes().astype(np.float64) @ a
+    acc = terms[0] + 0.0
+    for term in terms[1:]:
         acc += term
     # step * (acc - z * colsum), in place: IEEE multiplication commutes.
     acc -= layer.zero_point * np.add.reduce(a, axis=0)

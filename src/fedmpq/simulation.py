@@ -341,6 +341,23 @@ def _round_metrics(
     )
 
 
+def _seed_words(*values: int) -> np.ndarray:
+    """The uint32 words SeedSequence derives from a list of non-negative
+    ints: each int's 32-bit little-endian words, at least one per int.
+    Prebuilt, they give the list's generator state without SeedSequence's
+    Python-level coercion of the list."""
+    words = []
+    for v in values:
+        if v < 0:
+            raise ValueError(f"seed entries must be non-negative, got {v}")
+        while True:
+            words.append(v & 0xFFFFFFFF)
+            v >>= 32
+            if not v:
+                break
+    return np.array(words, dtype=np.uint32)
+
+
 def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> RoundMetrics:
     """One global round: deliver, train locally, aggregate, reallocate.
 
@@ -360,7 +377,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         if arm.fixed_bits is None:
             check_width_budget(n, widths, m, config.budgets[n], "delivered widths")
 
-        rng = np.random.default_rng([config.seed, _SALT_CLIENT, n, round_index])
+        rng = np.random.default_rng(_seed_words(config.seed, _SALT_CLIENT, n, round_index))
         idx = state.shards[n]
         xs, ys = state.dataset.train_x[idx], state.dataset.train_y[idx]
         try:

@@ -117,7 +117,8 @@ def fixed_point_delta(
     masked sum and the cap are skipped: each sub-step is at most 1/2, so
     the total is at most floor(b/2) + 1 <= 2^b - 1 and the cap cannot bind.
     The per-entry sums are taken first: where none reaches 1, no step does,
-    so the full-size maximum over the steps is skipped too.
+    so the full-size maximum over the steps is skipped too, and so is the
+    floor of the sums, which is then +0 everywhere.
     """
     g = np.asarray(plane_grads, dtype=np.float64)
     b = layer.bit_width
@@ -132,11 +133,10 @@ def fixed_point_delta(
 
     work = plane_steps(g, ctx.lr)
     p = np.add.reduce(work, axis=0)
+    p_max = np.maximum.reduce(p, axis=None)
     # The steps are non-negative, so no step reaches 1 where their sum does
     # not; the full-size maximum runs only where some sum does.
-    any_whole = (
-        np.maximum.reduce(p, axis=None) >= 1.0 and np.maximum.reduce(work, axis=None) >= 1.0
-    )
+    any_whole = p_max >= 1.0 and np.maximum.reduce(work, axis=None) >= 1.0
     if any_whole:
         whole = work >= 1.0
         whole_steps = np.add.reduce(work, axis=0, where=whole)
@@ -153,10 +153,14 @@ def fixed_point_delta(
     if np.logical_or.reduce(tie, axis=None):
         nu[tie] = np.sign(gw[tie])
 
-    steps = np.floor(p)
-    p -= steps
     draws = ctx.rng.random(p.shape)
-    steps += np.less(draws, p, out=draws)
+    if p_max < 1.0:
+        # Every sum lies in [0, 1), so the step is the draw's outcome alone.
+        steps = np.less(draws, p, out=draws)
+    else:
+        steps = np.floor(p)
+        p -= steps
+        steps += np.less(draws, p, out=draws)
     if any_whole:
         # Whole numbers below the cap add exactly in any order, and a sum
         # that rounds is past the cap either way. q_i > b means a plane step
@@ -190,7 +194,9 @@ def apply_update(layer: QuantizedLayer, delta: np.ndarray) -> QuantizedLayer:
     codes = np.add(k, layer.codes, out=k)
     np.maximum(codes, 0.0, out=codes)
     np.minimum(codes, (1 << layer.bit_width) - 1, out=codes)
-    return QuantizedLayer.from_codes(codes, layer.scale, layer.bit_width)
+    # Whole numbers in [0, 2^b - 1] now: the uint8 cast is exact, so the
+    # codes go straight to the constructor, whose checks all still run.
+    return QuantizedLayer(codes.astype(np.uint8), layer.bit_width, layer.scale)
 
 
 def sgd_step(

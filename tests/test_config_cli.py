@@ -214,6 +214,12 @@ class TestCmdRun:
         written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
         assert sorted(listed) == sorted(written - {"manifest.json"})
 
+    def test_seed_past_32_bits_runs(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out), "--seed", "99999999999"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 99999999999
+        assert len((out / "metrics.csv").read_text().strip().splitlines()) == 2
+
     def test_override_flags_accepted(self, config_file, tmp_path):
         out = tmp_path / "out"
         code = main(

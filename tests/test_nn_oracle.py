@@ -14,6 +14,7 @@ output of each hidden layer instead, so those entries are compared against
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,6 +183,40 @@ def test_shift_add_matmul_matches_reference(bits, rows, cols, batch, scale_exp, 
         a = np.asarray(_signed_data(rng, (cols, batch), scale_exp), order=order)
     got = shift_add_matmul(a, layer)
     assert got.tobytes() == _ref_shift_add_matmul(a, layer).tobytes()
+
+
+# Columns of activations for the named products below: signed zeros and
+# negative values, alone and mixed, and values whose sums round.
+SIGNED_COLUMNS = {
+    "negative-zeros": [-0.0, -0.0, -0.0],
+    "mixed-zeros": [0.0, -0.0, 0.0],
+    "negatives": [-1.1, -0.3, -2.7],
+    "negative-and-zero": [-0.0, -2.0, 0.0],
+    "positives": [1.1, 0.3, 2.7],
+    "wide": [1e-3, -7.77e5, 3.3],
+}
+
+
+@pytest.mark.parametrize("column", sorted(SIGNED_COLUMNS))
+@pytest.mark.parametrize("bits", [1, 8])
+def test_shift_add_matmul_one_entry_output(bits, column):
+    # A 1x1 output: the plane sum has one entry, where a pairwise sum of the
+    # planes (np.add.reduce) would round differently.
+    a = np.array(SIGNED_COLUMNS[column])[:, None]
+    top = (1 << bits) - 1
+    for codes in ([0, 0, 0], [1, 1, 1], [top, top, top], [top, 0x55 & top, 0xAA & top]):
+        layer = QuantizedLayer(np.array([codes], dtype=np.uint8), bits, 1.7)
+        assert shift_add_matmul(a, layer).tobytes() == _ref_shift_add_matmul(a, layer).tobytes()
+
+
+@pytest.mark.parametrize("column", sorted(SIGNED_COLUMNS))
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_shift_add_matmul_zero_codes(bits, column):
+    # Every plane product of zero codes is a signed zero; the plane sum must
+    # give the zeros the reference's sum from +0.0 gives.
+    layer = QuantizedLayer(np.zeros((4, 3), dtype=np.uint8), bits, 0.9)
+    a = np.array(SIGNED_COLUMNS[column])[:, None] * np.array([1.0, -1.0, 0.5, -0.0])
+    assert shift_add_matmul(a, layer).tobytes() == _ref_shift_add_matmul(a, layer).tobytes()
 
 
 @given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 9), st.integers(-6, 6), st.integers(0, 2**32 - 1))

@@ -84,6 +84,17 @@ class TestLayerInvariants:
         with pytest.raises(ValueError, match="out of range"):
             QuantizedLayer.from_codes(np.full((1, 2), code), 1.0, bits)
 
+    @pytest.mark.parametrize(
+        "codes",
+        [[[1.5, 2.9]], [[np.nan, 1.0]], [[1.0, 2.0]], [[True, False]]],
+        ids=["fractional", "nan", "whole-floats", "bool"],
+    )
+    def test_codes_must_be_integers(self, codes):
+        # The uint8 cast would truncate 1.5 and 2.9 to 1 and 2, and a NaN
+        # passes both range tests.
+        with pytest.raises(ValueError, match="integers"):
+            QuantizedLayer.from_codes(np.array(codes), 1.0, 2)
+
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             QuantizedLayer.from_codes(np.zeros((1, 1), dtype=int), 0.0, 2)

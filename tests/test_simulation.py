@@ -226,6 +226,45 @@ class TestRunRound:
             assert got >= sum(b * c for b, c in zip(update.bit_widths, m))
 
 
+# Seeds of one, two and three 32-bit words, at the word boundaries.
+LONG_SEEDS = [0, 1, 2**32 - 1, 2**32, 99999999999, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", LONG_SEEDS)
+def test_seed_words_give_the_list_seeded_stream(seed):
+    salt = simulation._SALT_CLIENT
+    for n, r in ((0, 1), (7, 3), (199, 2**32 + 1)):
+        got = np.random.default_rng(simulation._seed_words(seed, salt, n, r))
+        want = np.random.default_rng([seed, salt, n, r])
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(16).tobytes() == want.random(16).tobytes()
+
+
+def test_seed_words_reject_negative_entries():
+    with pytest.raises(ValueError, match="non-negative"):
+        simulation._seed_words(1, -1)
+
+
+@pytest.mark.parametrize("seed", [2**32 + 5, 99999999999])
+def test_run_round_trains_each_client_on_its_list_seeded_stream(seed, monkeypatch):
+    config = small_config(algorithm="fp32", seed=seed, rounds=1)
+    state = init_state(config)
+    seen = []
+    train = simulation.local_update_dense
+
+    def spy(model, xs, ys, cfg, rng):
+        seen.append(rng.bit_generator.state)
+        return train(model, xs, ys, cfg, rng)
+
+    monkeypatch.setattr(simulation, "local_update_dense", spy)
+    run_round(state, config, 1)
+    drawn = sample_clients(config.clients, config.participation, 1, seed)
+    assert seen == [
+        np.random.default_rng([seed, simulation._SALT_CLIENT, int(n), 1]).bit_generator.state
+        for n in drawn
+    ]
+
+
 # configs/blobs.ini as the cross-device benchmark workload runs it.
 CROSS_DEVICE = {
     "clients": "200",

@@ -7,6 +7,8 @@ every delta, Lasso value and subgradient must match to the byte, and both
 must leave the client RNG in the same state. ``_RefContext`` is the
 optimizer state they ran on, momentum buffer included; the current
 ``sgd_step`` takes that buffer from the client loop instead.
+``_from_codes_route`` is the oracle for ``apply_update``, which builds its
+layer through the constructor rather than ``from_codes``.
 """
 
 import math
@@ -263,10 +265,11 @@ def _planes_of(steps, signs) -> np.ndarray:
     return np.asarray(steps, dtype=np.float64)[:, None, :] * np.asarray(signs, dtype=np.float64)
 
 
-# Named inputs for both paths of fixed_point_delta: (bits, per-plane steps,
-# per-entry signs). The sub-step-only ones carry whole steps out of the
-# sub-step total without any plane step reaching 1; one plane alone (b = 1)
-# cannot carry, so that case covers the largest single sub-step.
+# Named inputs for every path of fixed_point_delta: (bits, per-plane steps,
+# per-entry signs). The carry cases carry whole steps out of the sub-step
+# total without any plane step reaching 1; one plane alone (b = 1) cannot
+# carry, so that case covers the largest single sub-step, where no sum
+# reaches 1 and the sums take no floor.
 FIXED_CASES = {
     "sub-step-b1": (1, [[0.5, 0.25, 2.0**-20, 0.0]], [1, -1, 1, -1]),
     "carry-b2": (2, [[0.5, 0.5, 0.25, 0.0], [0.5, 0.25, 0.5, 0.5]], [-1, 1, 1, -1]),
@@ -288,11 +291,55 @@ def test_fixed_point_delta_named_cases(name):
     assert plane_steps(plane_grads, 1.0).tobytes() == np.abs(plane_grads).tobytes()
     sub_steps_only = np.abs(plane_grads).max() < 1.0
     assert sub_steps_only == name.startswith(("sub-step", "carry"))
-    if name.startswith("carry"):
-        assert np.abs(plane_grads).sum(axis=0).max() >= 1.0
+    assert (np.abs(plane_grads).sum(axis=0).max() >= 1.0) == (not name.startswith("sub-step"))
     for seed in range(5):
         ctx, ref = UpdateContext(1.0, np.random.default_rng(seed)), _ref_ctx(1.0, seed)
         got = fixed_point_delta(grad_w, plane_grads, ctx, layer)
         want = _ref_fixed_point_delta(grad_w, plane_grads, ref, layer)
         assert got.tobytes() == want.tobytes()
         assert ctx.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def _from_codes_route(layer: QuantizedLayer, delta: np.ndarray) -> QuantizedLayer:
+    """apply_update on integers: the delta's whole grid steps added to the
+    codes, clipped to the width, and the layer built through from_codes."""
+    k = np.rint(np.asarray(delta) / layer.step).astype(np.int64)
+    codes = np.clip(layer.codes.astype(np.int64) + k, 0, (1 << layer.bit_width) - 1)
+    return QuantizedLayer.from_codes(codes, layer.scale, layer.bit_width)
+
+
+@st.composite
+def grid_updates(draw):
+    """A layer with codes at 0 and 2^b - 1 among others, and a whole-step
+    delta that runs past both ends of the grid."""
+    bits = draw(st.integers(1, 8))
+    top = (1 << bits) - 1
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, top + 1, (rows, cols))
+    edge = rng.random((rows, cols))
+    codes[edge < 0.3] = 0
+    codes[edge > 0.7] = top
+    layer = QuantizedLayer.from_codes(codes, rng.uniform(0.1, 4.0), bits)
+    k = rng.integers(-top - 3, top + 4, (rows, cols))
+    k.flat[0], k.flat[-1] = -top - 3, top + 3
+    return layer, k * layer.step, draw(st.integers(0, rows * cols - 1))
+
+
+@given(grid_updates())
+@settings(max_examples=300, deadline=None)
+def test_apply_update_matches_the_from_codes_route(case):
+    layer, delta, at = case
+    got, want = apply_update(layer, delta), _from_codes_route(layer, delta)
+    assert got.codes.dtype == want.codes.dtype == np.uint8
+    assert got.codes.shape == want.codes.shape
+    assert got.codes.tobytes() == want.codes.tobytes()
+    assert (got.bit_width, got.scale) == (want.bit_width, want.scale)
+    assert not got.codes.flags.writeable and not want.codes.flags.writeable
+    # Off the grid, NaN and inf still fail the grid check (inf - rint(inf)
+    # is an invalid subtraction, hence the errstate).
+    for bad in (delta.flat[at] + 0.5 * layer.step, np.nan, np.inf, -np.inf):
+        broken = delta.copy()
+        broken.flat[at] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="grid steps"):
+            apply_update(layer, broken)
