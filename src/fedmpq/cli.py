@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -39,20 +40,26 @@ def _default_out_dir(config, config_path: str) -> Path:
     return root / f"{stem}-{config.algorithm}-seed{config.seed}"
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def guard(command: str, action: Callable[[], int]) -> int:
+    """``action()``'s exit code, or one stderr line for an expected failure:
+    a bad config exits 2, a failed ``command`` exits 1. Numpy's float
+    warnings are silenced: a diverging run is reported by the non-finite
+    checks, as one line."""
     try:
-        config = _load_config_with_overrides(args)
+        with np.errstate(all="ignore"):
+            return action()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else _default_out_dir(config, args.config)
-    try:
-        # A diverging run is reported by the non-finite checks, as one line.
-        with np.errstate(all="ignore"):
-            metrics, _ = run_experiment(config, out_dir)
-    except (PartitionError, ValueError, OSError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (PartitionError, CheckpointError, ValueError, OSError) as exc:
+        print(f"{command} failed: {exc}", file=sys.stderr)
         return 1
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _load_config_with_overrides(args)
+    out_dir = Path(args.out) if args.out else _default_out_dir(config, args.config)
+    metrics, _ = run_experiment(config, out_dir)
     final = metrics[-1]
     print(
         f"{config.algorithm} seed={config.seed}: {len(metrics)} metric rows, "
@@ -62,39 +69,25 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config_with_overrides(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    config = _load_config_with_overrides(args)
     out = Path(args.out)
-    try:
-        dataset = load_dataset(config.data, config.seed)
-        shards = dirichlet_partition(
-            dataset.train_y, config.clients, config.alpha, config.seed
-        )
-        record = {
-            "alpha": config.alpha,
-            "seed": config.seed,
-            "clients": config.clients,
-            "shards": [[int(i) for i in shard] for shard in shards],
-        }
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(record, sort_keys=True) + "\n")
-    except (PartitionError, ValueError, OSError) as exc:
-        print(f"partition failed: {exc}", file=sys.stderr)
-        return 1
+    dataset = load_dataset(config.data, config.seed)
+    shards = dirichlet_partition(dataset.train_y, config.clients, config.alpha, config.seed)
+    record = {
+        "alpha": config.alpha,
+        "seed": config.seed,
+        "clients": config.clients,
+        "shards": [[int(i) for i in shard] for shard in shards],
+    }
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(record, sort_keys=True) + "\n")
     sizes = ", ".join(str(len(s)) for s in shards)
     print(f"wrote {out} with shard sizes [{sizes}]")
     return 0
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        layers = read_checkpoint(args.checkpoint)
-    except (CheckpointError, OSError) as exc:
-        print(f"inspect failed: {exc}", file=sys.stderr)
-        return 1
+    layers = read_checkpoint(args.checkpoint)
     average = average_bits([l.bit_width for l in layers], [l.num_params for l in layers])
     print(f"checkpoint: {args.checkpoint}")
     print(f"layers: {len(layers)}  average bit-width: {average:.3f}")
@@ -180,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    return guard(args.command, lambda: args.func(args))
 
 
 if __name__ == "__main__":

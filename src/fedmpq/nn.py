@@ -325,7 +325,7 @@ def backward(
     return grads_w, grads_b
 
 
-def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams=()) -> Model:
+def _train(model: Model, features, labels, cfg: TrainConfig, rng, lams) -> Model:
     """Epochs of shuffled minibatches, the one client loop of every arm.
 
     The forward pass snaps hidden activations onto cfg.activation_bits.
@@ -433,7 +433,7 @@ def local_update_dense(
     if len(labels) == 0:
         logger.warning("empty shard: returning the model unchanged")
         return model
-    return _train(model, features, labels, cfg, rng)
+    return _train(model, features, labels, cfg, rng, [0.0] * len(model.layers))
 
 
 def evaluate(

@@ -60,11 +60,6 @@ class ClientUpdate:
         the checks, the upload cost, the round state and aggregate read it."""
         return tuple(wire_bits(l) for l in self.layers)
 
-    @property
-    def reductions(self) -> np.ndarray:
-        """How many planes local training cut from each layer."""
-        return np.subtract(self.delivered_bits, self.bit_widths, dtype=np.int64)
-
     def check_budget(self, param_counts: np.ndarray) -> None:
         check_width_budget(self.client_id, self.bit_widths, param_counts, self.budget, "upload")
 

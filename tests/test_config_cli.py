@@ -24,11 +24,11 @@ from fedmpq.config import (
     parse_config_text,
     serialize_config,
 )
+from fedmpq.data import _IDX_PATHS as IDX_KEYS
 from fedmpq.quant import plane_density, quantize
 from fedmpq.simulation import ExperimentConfig, read_partition, run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 BLOBS = SRC.parent / "configs" / "blobs.ini"
 
 MINIMAL = """

@@ -583,6 +583,22 @@ class TestLocalUpdateDense:
         for got, want in zip([*trained.layers, *trained.biases], params, strict=True):
             np.testing.assert_array_equal(got, want)
 
+    def test_quantized_layer_takes_snapped_steps_without_lasso(self, blob_shard):
+        # A grid layer trains as local_update trains it with no Lasso and no
+        # pruning; the real layer beside it takes plain momentum SGD.
+        spec = ModelSpec((DenseSpec(8, 10), DenseSpec(10, 4)), (8,), 4)
+        dense = init_dense_model(spec, np.random.default_rng([5, 202]))
+        mixed = Model(spec, [quantized(dense, [5, 5]).layers[0], dense.layers[1]], dense.biases)
+        x, y = blob_shard.train_x, blob_shard.train_y
+        cfg = TrainConfig(local_epochs=1, batch_size=16, lasso_coeff=0.0, prune_threshold=None)
+        got = local_update_dense(mixed, x, y, cfg, np.random.default_rng(4))
+        want = local_update(mixed, x, y, cfg, np.random.default_rng(4))
+        assert isinstance(got.layers[0], QuantizedLayer)
+        assert got.layers[0].bit_width == want.layers[0].bit_width
+        np.testing.assert_array_equal(dequantize(got.layers[0]), dequantize(want.layers[0]))
+        for g, w in zip([got.layers[1], *got.biases], [want.layers[1], *want.biases], strict=True):
+            np.testing.assert_array_equal(g, w)
+
 
 @pytest.mark.parametrize("kind", SHARD_SPECS)
 def test_trained_arrays_pin_no_training_state(blob_shard, kind):

@@ -240,12 +240,6 @@ class TestClientUpdateValidation:
         with pytest.raises(ValueError, match="only reduce"):
             ClientUpdate(0, layers, (np.zeros(2), np.zeros(2)), (4, 4), 10, 4.0)
 
-    def test_reductions_are_delivered_minus_uploaded(self):
-        layers = (quantize(np.ones((2, 2)), 4), quantize(np.ones((2, 2)), 2), np.ones((2, 2)))
-        update = ClientUpdate(2, layers, (np.zeros(2),) * 3, (4, 4, 32), 10, 4.0)
-        assert update.bit_widths == (4, 2, 32)
-        np.testing.assert_array_equal(update.reductions, [0, 2, 0])
-
     def test_budget_check_allows_one_growing_step(self):
         update = make_update(0, [np.ones((10, 10)), np.ones((2, 5))], [5, 8], 10, 5.0)
         update.check_budget(np.array([100, 10]))

@@ -1,11 +1,12 @@
 """Every name ``src/fedmpq`` defines is one that a run, the CLI, ``bench/``
 or ``scripts/`` uses.
 
-A top-level function or class, or a non-dunder method, counts as used when
-some Name or Attribute node in ``src/``, ``bench/`` or ``scripts/`` carries
-its name. Import aliases are not Name nodes, so a re-export alone does not
-count, and neither do references from ``tests/``: a helper only tests call
-belongs in ``tests/helpers.py``.
+A top-level function or class counts as used when some Name or Attribute
+node in ``src/``, ``bench/`` or ``scripts/`` carries its name; a non-dunder
+method or property only when some Attribute node does, so a local variable
+of the same name does not hide a dead member. Import aliases are not Name
+nodes, so a re-export alone does not count, and neither do references from
+``tests/``: a helper only tests call belongs in ``tests/helpers.py``.
 
 Since names match bare, a method that two classes define counts as used
 when either is; so no two classes define a member of one name, except the
@@ -43,19 +44,24 @@ def _definitions():
 
 
 def _references():
-    names = set()
+    """(names of Name nodes, names of Attribute nodes) outside tests."""
+    names, attributes = set(), set()
     for _, tree in _trees(*CALLERS):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def test_every_definition_is_used_outside_tests():
-    used = _references()
-    unused = [f"{module}.{qual}" for module, qual, name in _definitions() if name not in used]
+    names, attributes = _references()
+    unused = [
+        f"{module}.{qual}"
+        for module, qual, name in _definitions()
+        if name not in attributes and ("." in qual or name not in names)
+    ]
     assert not unused, f"defined in src/fedmpq but used only by tests, or by nothing: {unused}"
 
 
