@@ -3,9 +3,12 @@
 Four algorithm arms share one round loop. ``fedmpq`` runs the full
 pipeline (sparsity-promoting local training, MSB pruning, server-side bit
 reallocation); ``aqfl`` fixes every client at its own budget; ``fpq-k``
-fixes everyone at ``fpq_bits``; ``fp32`` trains full precision. Everything
-is deterministic given the master seed: clients own private RNG streams
-keyed by (seed, client, round) and aggregation sorts by client id.
+fixes everyone at ``fpq_bits``; ``fp32`` trains full precision. A round
+runs in three passes over its sampled clients: deliver every model, train
+every client, accept every upload; the server state changes only once all
+three have passed and the uploads are aggregated. Everything is
+deterministic given the master seed: clients own private RNG streams keyed
+by (seed, client, round) and aggregation sorts by client id.
 """
 
 from __future__ import annotations
@@ -359,55 +362,72 @@ def _seed_words(*values: int) -> np.ndarray:
 
 
 def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> RoundMetrics:
-    """One global round: deliver, train locally, aggregate, reallocate.
+    """One global round: three passes over the sampled clients in id order,
+    then FedAvg aggregation and reallocation, shared by every arm.
 
-    Clients train one at a time in id order; every arm's uploads go through
-    the same FedAvg aggregation.
+    Deliver reads ``state``: each client's widths, checked against its
+    budget, its generator keyed by (seed, client, round) and its model at
+    those widths; clients delivered one width share each layer through
+    ``grids``. Train gathers each client's shard and trains on it; a model
+    that is not finite fails the round. Accept turns each trained model
+    into a ClientUpdate, checks its widths and counts its wire cost. Only
+    after the aggregate does ``state`` change, so a round that fails
+    leaves it as it was; the error names the round and the client.
     """
     started = time.perf_counter()
     arm = _arm_settings(config)
     global_model = state.global_model
     m = global_model.spec.param_counts
-    updates: list[ClientUpdate] = []
-    upload_bits: dict[int, int] = {}  # wire cost per sampled client
+
+    jobs = []  # (client, delivered widths, generator, delivered model)
     grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by clients
-    for n in sample_clients(config.clients, config.participation, round_index, config.seed):
-        n = int(n)
+    for n in sample_clients(config.clients, config.participation, round_index, config.seed).tolist():
         widths = _delivery_bits(state, arm, n, config.budgets[n])
         if arm.fixed_bits is None:
             check_width_budget(n, widths, m, config.budgets[n], "delivered widths")
-
         rng = np.random.default_rng(_seed_words(config.seed, _SALT_CLIENT, n, round_index))
-        idx = state.shards[n]
-        xs, ys = state.dataset.train_x[idx], state.dataset.train_y[idx]
-        try:
-            if arm.quantized:
+        model = global_model
+        if arm.quantized:
+            try:
                 layers = binary_representation(global_model.layers, widths, grids)
-                model = Model(global_model.spec, layers, global_model.biases)
-                trained = local_update(model, xs, ys, arm.train, rng)
-            else:
-                trained = local_update_dense(global_model, xs, ys, arm.train, rng)
-            trained_arrays = [*trained.biases, *([] if arm.quantized else trained.layers)]
-            if not np.isfinite(np.concatenate(trained_arrays, axis=None)).all():
+            except ValueError as exc:
+                raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
+            model = Model(global_model.spec, layers, global_model.biases)
+        jobs.append((n, widths, rng, model))
+
+    train = local_update if arm.quantized else local_update_dense
+    trained = []  # (client, delivered widths, trained model)
+    for n, widths, rng, model in jobs:
+        idx = state.shards[n]
+        try:
+            model = train(model, state.dataset.train_x[idx], state.dataset.train_y[idx], arm.train, rng)
+            arrays = [*model.biases, *([] if arm.quantized else model.layers)]
+            if not np.isfinite(np.concatenate(arrays, axis=None)).all():
                 raise ValueError("trained model is not finite")
         except ValueError as exc:
             raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
+        trained.append((n, widths, model))
+    del jobs, grids  # the delivered models; aggregation needs only the trained ones
+
+    updates: list[ClientUpdate] = []
+    upload_bits: dict[int, int] = {}  # wire cost per sampled client
+    for n, widths, model in trained:
         update = ClientUpdate(
             client_id=n,
-            layers=tuple(trained.layers),
-            biases=tuple(trained.biases),
+            layers=tuple(model.layers),
+            biases=tuple(model.biases),
             delivered_bits=tuple(widths.tolist()),
-            num_samples=len(ys),
+            num_samples=len(state.shards[n]),
             budget=float(config.budgets[n]),
         )
         if arm.fixed_bits is None:
             update.check_budget(m)
         upload_bits[n] = upload_cost_bits(update)
-        state.delivered[n] = widths
-        state.uploaded[n] = update.bit_widths
         updates.append(update)
 
     weights, biases, bits = aggregate(updates)
+    state.delivered[list(upload_bits)] = [u.delivered_bits for u in updates]
+    state.uploaded[list(upload_bits)] = [u.bit_widths for u in updates]
     state.global_model = Model(global_model.spec, weights, biases)
     if arm.quantized:
         state.global_widths = round_bitwidths(bits)

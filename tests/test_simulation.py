@@ -333,6 +333,59 @@ def test_cross_device_rounds_global_widths_once_per_round(monkeypatch):
     assert per_round == [1, 1]
 
 
+def test_cross_device_round_delivers_all_then_trains_all_then_accepts_all(monkeypatch):
+    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", CROSS_DEVICE)
+    state = init_state(config)
+    events = []
+
+    def recording(kind, fn):
+        def recorded(*args, **kwargs):
+            events.append(kind)
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(simulation, "binary_representation", recording("deliver", simulation.binary_representation))
+    monkeypatch.setattr(simulation, "local_update", recording("train", simulation.local_update))
+    monkeypatch.setattr(server.ClientUpdate, "check_budget", recording("accept", server.ClientUpdate.check_budget))
+    for r in (1, 2):
+        events.clear()
+        run_round(state, config, r)
+        phases = [kind for i, kind in enumerate(events) if i == 0 or events[i - 1] != kind]
+        # The last binary_representation is the metrics' plane densities of
+        # the new aggregate, after every upload was accepted.
+        assert phases == ["deliver", "train", "accept", "deliver"]
+        assert (events.count("deliver"), events.count("train"), events.count("accept")) == (101, 100, 100)
+
+
+def test_failed_round_leaves_the_state_as_it_was(monkeypatch):
+    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", {"seed": "1"})
+    state = init_state(config)
+    run_round(state, config, 1)
+    before = dict(vars(state))
+    arrays = {name: value.copy() for name, value in before.items() if isinstance(value, np.ndarray)}
+    assert state.delivered[:2].tolist() == state.uploaded[:2].tolist() == [[2, 2, 2]] * 2
+    calls = []
+    train = simulation.local_update
+
+    def third_client_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("diverged")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "local_update", third_client_fails)
+    with pytest.raises(ValueError, match=r"^round 2, client 2: diverged$"):
+        run_round(state, config, 2)
+    # Two clients trained before the failure; neither their rows nor any
+    # other field of the state changed.
+    assert len(calls) == 3
+    for name, value in vars(state).items():
+        assert value is before[name], name
+    for name, value in arrays.items():
+        np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
+
+
 class TestReductionEquivalence:
     def test_degenerate_fedmpq_matches_aqfl(self):
         base = dict(rounds=3, participation=0.5)
