@@ -49,6 +49,11 @@ class QuantizedLayer:
     bit_width: int
     scale: float
 
+    # Derived arrays of a layer that several clients share (see memoize): the
+    # plane stack under "planes", group-Lasso terms under their weight. None
+    # on every other layer. Not a field: no constructor sets it.
+    _memo = None
+
     def __post_init__(self):
         if not (1 <= self.bit_width <= MAX_BITS):
             raise ValueError(f"bit_width must be in [1, {MAX_BITS}], got {self.bit_width}")
@@ -90,6 +95,23 @@ class QuantizedLayer:
         """Codes masked bit by bit, shape (bit_width, rows, cols): entry [i]
         is codes & 2^i, that is 2^i times plane i, in one pass."""
         return self.codes & _PLANE_MASKS[: self.bit_width, None, None]
+
+    def memoize(self) -> None:
+        """Keep this layer's derived arrays once computed: its plane stack and
+        its group-Lasso terms, read-only, for as long as the layer lives."""
+        object.__setattr__(self, "_memo", {})
+
+    def plane_stack(self) -> np.ndarray:
+        """masked_codes() as float64: built once and read-only on a memoized
+        layer, a fresh array on any other."""
+        memo = self._memo
+        if memo is None:
+            return self.masked_codes().astype(np.float64)
+        stack = memo.get("planes")
+        if stack is None:
+            stack = memo["planes"] = self.masked_codes().astype(np.float64)
+            stack.flags.writeable = False
+        return stack
 
     def plane_counts(self) -> list[int]:
         """Number of ones in each plane, LSB plane first, read off a histogram
@@ -200,7 +222,7 @@ def shift_add_matmul(activations: np.ndarray, layer: QuantizedLayer) -> np.ndarr
     # added in plane order, since np.add.reduce sums pairwise when the output
     # has one entry. The sum starts from plane 0 plus +0.0, which IEEE
     # addition makes bitwise 0.0 plus plane 0, -0.0 and NaN included.
-    terms = layer.masked_codes().astype(np.float64) @ a
+    terms = layer.plane_stack() @ a
     acc = terms[0] + 0.0
     for term in terms[1:]:
         acc += term

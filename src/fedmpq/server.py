@@ -162,15 +162,20 @@ def binary_representation(
     ``grids`` maps (layer index, width) to a layer already quantized from
     these same weights. It is read first and filled with what is missing,
     so the deliveries of one round quantize each layer once per width and
-    share the immutable result.
+    share the immutable result. Each layer stored there is memoized
+    (QuantizedLayer.memoize): every client delivered its width then reads
+    one read-only plane stack and one group-Lasso term per weight. Without
+    ``grids`` the layers carry no memo.
     """
     widths = np.asarray(bit_widths, dtype=np.int64)
     if len(widths) != len(weights):
         raise ValueError("one bit width per layer is required")
-    grids = {} if grids is None else grids
+    if grids is None:
+        return [quantize(w, bw) for w, bw in zip(weights, widths.tolist())]
     layers = []
     for l, bw in enumerate(widths.tolist()):
         if (l, bw) not in grids:
             grids[l, bw] = quantize(weights[l], bw)
+            grids[l, bw].memoize()
         layers.append(grids[l, bw])
     return layers

@@ -367,12 +367,16 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
 
     Deliver reads ``state``: each client's widths, checked against its
     budget, its generator keyed by (seed, client, round) and its model at
-    those widths; clients delivered one width share each layer through
-    ``grids``. Train gathers each client's shard and trains on it; a model
-    that is not finite fails the round. Accept turns each trained model
-    into a ClientUpdate, checks its widths and counts its wire cost. Only
-    after the aggregate does ``state`` change, so a round that fails
-    leaves it as it was; the error names the round and the client.
+    those widths; clients delivered one width share each layer, and its
+    memoized plane stack and Lasso term, through ``grids``, which is
+    dropped once every client is delivered. Train gathers each client's
+    shard and trains on it; a model that is not finite fails the round.
+    Each delivered model is released once its client has trained, so a
+    shared layer and its memo are freed after their last client. Accept
+    turns each trained model into a ClientUpdate, checks its widths and
+    counts its wire cost. Only after the aggregate does ``state`` change,
+    so a round that fails leaves it as it was; the error names the round
+    and the client.
     """
     started = time.perf_counter()
     arm = _arm_settings(config)
@@ -394,10 +398,13 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
                 raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
             model = Model(global_model.spec, layers, global_model.biases)
         jobs.append((n, widths, rng, model))
+    del grids
 
     train = local_update if arm.quantized else local_update_dense
     trained = []  # (client, delivered widths, trained model)
-    for n, widths, rng, model in jobs:
+    jobs.reverse()  # popped in client order, so each delivered model goes once trained
+    while jobs:
+        n, widths, rng, model = jobs.pop()
         idx = state.shards[n]
         try:
             model = train(model, state.dataset.train_x[idx], state.dataset.train_y[idx], arm.train, rng)
@@ -407,7 +414,6 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         except ValueError as exc:
             raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
         trained.append((n, widths, model))
-    del jobs, grids  # the delivered models; aggregation needs only the trained ones
 
     updates: list[ClientUpdate] = []
     upload_bits: dict[int, int] = {}  # wire cost per sampled client

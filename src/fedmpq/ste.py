@@ -60,7 +60,15 @@ def group_lasso(layer: QuantizedLayer, weight: float = 1.0) -> tuple[float, np.n
 
     For a binary plane the norm is sqrt(popcount); the subgradient of an
     all-zero plane is taken to be zero. The returned sum is not weighted.
+
+    A memoized layer (one a round delivers, shared by every client delivered
+    its width; see server.binary_representation) computes the pair once per
+    weight and returns that same pair on every later call, its subgradient
+    read-only. Any other layer gets a fresh, writable subgradient.
     """
+    memo = layer._memo
+    if memo is not None and weight in memo:
+        return memo[weight]
     norms = np.sqrt(layer.plane_counts())
     # A norm is 0 or at least 1, so the maximum only lifts the empty planes.
     # Entry [i] of the masked codes is 0 or 2^i, and scaling by 2^i is exact,
@@ -69,9 +77,15 @@ def group_lasso(layer: QuantizedLayer, weight: float = 1.0) -> tuple[float, np.n
     # rounded once, is not).
     factors = 1.0 / (PLANE_WEIGHTS[: layer.bit_width] * np.maximum(norms, 1.0))
     factors *= weight
-    subgradient = layer.masked_codes().astype(np.float64)
-    subgradient *= factors[:, None, None]
-    return float(np.add.reduce(norms)), subgradient
+    if memo is None:
+        subgradient = layer.masked_codes().astype(np.float64)
+        subgradient *= factors[:, None, None]
+        return float(np.add.reduce(norms)), subgradient
+    # The same products, taken from the shared plane stack.
+    subgradient = np.multiply(layer.plane_stack(), factors[:, None, None])
+    subgradient.flags.writeable = False
+    term = memo[weight] = (float(np.add.reduce(norms)), subgradient)
+    return term
 
 
 def plane_steps(plane_grads: np.ndarray, lr: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmpq.quant import QuantizedLayer, dequantize, quantize
+from fedmpq.quant import QuantizedLayer, dequantize, quantize, shift_add_matmul
 from fedmpq.server import (
     ClientUpdate,
     aggregate,
@@ -13,6 +13,7 @@ from fedmpq.server import (
     pruning_growing,
     round_bitwidths,
 )
+from fedmpq.ste import group_lasso
 
 from helpers import max_value, min_value
 
@@ -232,6 +233,74 @@ class TestBinaryRepresentation:
         layers = binary_representation(weights, [3, 3])
         assert [l.bit_width for l in layers] == [3, 3]
         assert [l.zero_point for l in layers] == [4, 4]
+
+    def test_layers_without_grids_carry_no_memo(self):
+        rng = np.random.default_rng(11)
+        layers = binary_representation([rng.normal(size=(4, 3))] * 2, [2, 5])
+        assert [l._memo for l in layers] == [None, None]
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestDeliveredMemo:
+    """Layers delivered through ``grids`` share their plane stack and Lasso
+    terms; every result must match an unshared copy of the layer bit for bit."""
+
+    def delivered(self, bits, seed=12):
+        rng = np.random.default_rng(seed)
+        weights = [rng.normal(size=(9, 7)), rng.normal(size=(3, 9))]
+        grids = {}
+        layers = binary_representation(weights, [bits, bits], grids)
+        assert binary_representation(weights, [bits, bits], grids) == layers
+        assert all(l._memo == {} for l in layers)
+        return layers
+
+    @staticmethod
+    def unshared(layer):
+        return QuantizedLayer(layer.codes.copy(), layer.bit_width, layer.scale)
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_group_lasso_matches_an_unshared_copy(self, bits):
+        for layer in self.delivered(bits):
+            plain = self.unshared(layer)
+            for weight in (0.01 * layer.num_params / 90, 1.0):
+                want_sum, want_grad = group_lasso(plain, weight)
+                for _ in range(3):  # the first call fills the memo, the others read it
+                    got_sum, got_grad = group_lasso(layer, weight)
+                    assert got_sum == want_sum
+                    _same_bytes(got_grad, want_grad)
+            assert group_lasso(layer, 1.0)[1] is group_lasso(layer, 1.0)[1]
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_shift_add_matmul_matches_an_unshared_copy(self, bits):
+        rng = np.random.default_rng(bits)
+        for layer in self.delivered(bits):
+            plain = self.unshared(layer)
+            for _ in range(3):
+                a = rng.uniform(0.0, 2.0, size=(layer.cols, 5))
+                _same_bytes(shift_add_matmul(a, layer), shift_add_matmul(a, plain))
+            _same_bytes(layer.plane_stack(), plain.plane_stack())
+
+    def test_memo_arrays_are_read_only(self):
+        layer = self.delivered(4)[0]
+        group_lasso(layer, 0.5)
+        shift_add_matmul(np.ones((layer.cols, 2)), layer)
+        arrays = [layer._memo["planes"], layer._memo[0.5][1]]
+        assert len(layer._memo) == 2
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+
+    def test_unshared_layers_return_fresh_writable_arrays(self):
+        plain = quantize(np.random.default_rng(13).normal(size=(4, 3)), 3)
+        first, second = group_lasso(plain, 0.5)[1], group_lasso(plain, 0.5)[1]
+        assert first is not second and first.flags.writeable
+        assert plain.plane_stack().flags.writeable and plain._memo is None
 
 
 class TestClientUpdateValidation:

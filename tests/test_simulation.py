@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from fedmpq import server, simulation
 from fedmpq.config import parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import ModelConfig, TrainConfig
-from fedmpq.quant import average_bits, wire_bits
+from fedmpq.quant import QuantizedLayer, average_bits, wire_bits
 from fedmpq.server import pruning_growing
 from fedmpq.simulation import (
     METRICS_COLUMNS,
@@ -310,6 +311,32 @@ def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
                 assert not layer.codes.flags.writeable
                 np.testing.assert_array_equal(layer.codes, before)
         assert len(shared) < len(delivered) == 100
+
+
+def test_cross_device_round_counts_each_delivered_grid_once(monkeypatch):
+    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", CROSS_DEVICE)
+    state = init_state(config)
+    run_round(state, config, 1)
+    delivered = {}  # id -> layer, for every layer a round delivers through its grids
+    deliver = simulation.binary_representation
+
+    def spy(weights, widths, grids=None):
+        layers = deliver(weights, widths, grids)
+        if grids is not None:
+            delivered.update((id(l), l) for l in layers)
+        return layers
+
+    counted = []
+    plane_counts = QuantizedLayer.plane_counts
+    monkeypatch.setattr(simulation, "binary_representation", spy)
+    monkeypatch.setattr(QuantizedLayer, "plane_counts", lambda layer: counted.append(layer) or plane_counts(layer))
+    run_round(state, config, 2)
+    # Every client's first snapped step takes the Lasso term of each delivered
+    # layer; the clients delivered one (layer, width) grid share one count.
+    per_grid = Counter(id(l) for l in counted if id(l) in delivered)
+    assert 3 < len(delivered) < 100
+    assert sorted(per_grid) == sorted(delivered)
+    assert set(per_grid.values()) == {1}
 
 
 def test_cross_device_rounds_global_widths_once_per_round(monkeypatch):
