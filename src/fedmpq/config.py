@@ -14,7 +14,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from .data import _IDX_PATHS, DataConfig
+from .data import IDX_PATHS, DataConfig
 from .nn import ModelConfig, TrainConfig
 from .simulation import ExperimentConfig
 
@@ -94,7 +94,7 @@ _FLAG_SECTIONS = {key: s for s, keys in _SCHEMA.items() for key in keys if key i
 # [data] keys that name files. parse_config reads a relative path written in
 # the INI against the INI's folder; a flag's value stays relative to the
 # working directory, and an empty value stays unset.
-_FILE_KEYS = (*_IDX_PATHS, "partition")
+_FILE_KEYS = (*IDX_PATHS, "partition")
 
 
 def _line_of(text: str, section: str, key: str) -> int | None:

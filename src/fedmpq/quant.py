@@ -50,9 +50,9 @@ class QuantizedLayer:
     scale: float
 
     # Derived arrays of a layer that several clients share (see memoize): the
-    # plane stack under "planes", group-Lasso terms under their weight. None
-    # on every other layer. Not a field: no constructor sets it.
-    _memo = None
+    # plane stack under "planes", group-Lasso terms (ste.group_lasso) under
+    # their weight. None on every other layer. Only memoize sets it.
+    memo = None
 
     def __post_init__(self):
         if not (1 <= self.bit_width <= MAX_BITS):
@@ -99,12 +99,12 @@ class QuantizedLayer:
     def memoize(self) -> None:
         """Keep this layer's derived arrays once computed: its plane stack and
         its group-Lasso terms, read-only, for as long as the layer lives."""
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "memo", {})
 
     def plane_stack(self) -> np.ndarray:
         """masked_codes() as float64: built once and read-only on a memoized
         layer, a fresh array on any other."""
-        memo = self._memo
+        memo = self.memo
         if memo is None:
             return self.masked_codes().astype(np.float64)
         stack = memo.get("planes")

@@ -66,7 +66,7 @@ def group_lasso(layer: QuantizedLayer, weight: float = 1.0) -> tuple[float, np.n
     weight and returns that same pair on every later call, its subgradient
     read-only. Any other layer gets a fresh, writable subgradient.
     """
-    memo = layer._memo
+    memo = layer.memo
     if memo is not None and weight in memo:
         return memo[weight]
     norms = np.sqrt(layer.plane_counts())

@@ -24,7 +24,7 @@ from fedmpq.config import (
     parse_config_text,
     serialize_config,
 )
-from fedmpq.data import _IDX_PATHS as IDX_KEYS
+from fedmpq.data import IDX_PATHS as IDX_KEYS
 from fedmpq.quant import plane_density, quantize
 from fedmpq.simulation import ExperimentConfig, read_partition, run_experiment
 

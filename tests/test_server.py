@@ -237,7 +237,7 @@ class TestBinaryRepresentation:
     def test_layers_without_grids_carry_no_memo(self):
         rng = np.random.default_rng(11)
         layers = binary_representation([rng.normal(size=(4, 3))] * 2, [2, 5])
-        assert [l._memo for l in layers] == [None, None]
+        assert [l.memo for l in layers] == [None, None]
 
 
 def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
@@ -255,7 +255,7 @@ class TestDeliveredMemo:
         grids = {}
         layers = binary_representation(weights, [bits, bits], grids)
         assert binary_representation(weights, [bits, bits], grids) == layers
-        assert all(l._memo == {} for l in layers)
+        assert all(l.memo == {} for l in layers)
         return layers
 
     @staticmethod
@@ -288,8 +288,8 @@ class TestDeliveredMemo:
         layer = self.delivered(4)[0]
         group_lasso(layer, 0.5)
         shift_add_matmul(np.ones((layer.cols, 2)), layer)
-        arrays = [layer._memo["planes"], layer._memo[0.5][1]]
-        assert len(layer._memo) == 2
+        arrays = [layer.memo["planes"], layer.memo[0.5][1]]
+        assert len(layer.memo) == 2
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0, 0] = 1.0
@@ -300,7 +300,7 @@ class TestDeliveredMemo:
         plain = quantize(np.random.default_rng(13).normal(size=(4, 3)), 3)
         first, second = group_lasso(plain, 0.5)[1], group_lasso(plain, 0.5)[1]
         assert first is not second and first.flags.writeable
-        assert plain.plane_stack().flags.writeable and plain._memo is None
+        assert plain.plane_stack().flags.writeable and plain.memo is None
 
 
 class TestClientUpdateValidation:

@@ -11,6 +11,10 @@ nodes, so a re-export alone does not count, and neither do references from
 Since names match bare, a method that two classes define counts as used
 when either is; so no two classes define a member of one name, except the
 interface both layer specs implement.
+
+A private name (one leading underscore, not a dunder) stays inside its
+module: no module imports one from a sibling, and no module reads one off
+an object other than ``self`` or ``cls``.
 """
 
 import ast
@@ -72,3 +76,22 @@ def test_no_member_name_is_defined_by_two_classes():
             owners.setdefault(name, []).append(f"{module}.{qual}")
     shared = {n: q for n, q in owners.items() if len(q) > 1 and n not in SHARED_MEMBERS}
     assert not shared, f"member names defined by more than one class in src/fedmpq: {shared}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reaches_into_another_modules_privates():
+    crossings = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                crossings += [
+                    f"{path.stem}:{node.lineno} imports {a.name}" for a in node.names if _private(a.name)
+                ]
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                owner = node.value
+                if not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
+                    crossings.append(f"{path.stem}:{node.lineno} reads .{node.attr}")
+    assert not crossings, f"private names used outside their module: {crossings}"
