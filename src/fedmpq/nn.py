@@ -436,24 +436,30 @@ def local_update_dense(
     return _train(model, features, labels, cfg, rng, [0.0] * len(model.layers))
 
 
-def evaluate(
-    model: Model,
-    features: np.ndarray,
-    labels: np.ndarray,
-    act_bits: int | None = None,
-    batch_size: int = 4096,
-) -> tuple[float, float]:
-    """Mean loss and accuracy over a dataset; deterministic."""
+def evaluate(model: Model, features: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Mean loss and accuracy over a dataset, without the activation grid;
+    deterministic.
+
+    ``forward`` runs over evenly split row blocks of at most 512 samples
+    (2,000 samples make four blocks of 500), so peak memory is one block's
+    activations, whatever the size of the dataset. The loss is taken over
+    4,096-sample batches of the gathered logits, each batch's mean weighted
+    by its size. The block size is part of the result: a float64 matmul's
+    rows need not keep their bits when the row count changes, and
+    128-sample blocks change one of the blobs goldens where blocks of 500
+    keep them all.
+    """
     n = len(labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    logits = np.empty((n, model.spec.num_classes))
+    blocks = -(-n // 512)
+    for xb, out in zip(np.array_split(features, blocks), np.array_split(logits, blocks)):
+        out[...] = forward(model, xb, act_bits=None)[0]
     loss_sum = 0.0
-    hits = 0
-    for start in range(0, n, batch_size):
-        xb = features[start : start + batch_size]
-        yb = labels[start : start + batch_size]
-        logits, _ = forward(model, xb, act_bits)
-        loss, _ = softmax_cross_entropy(logits, yb)
+    for start in range(0, n, 4096):
+        yb = labels[start : start + 4096]
+        loss, _ = softmax_cross_entropy(logits[start : start + 4096], yb)
         loss_sum += loss * len(yb)
-        hits += int((logits.argmax(axis=1) == yb).sum())
+    hits = int((logits.argmax(axis=1) == labels).sum())
     return loss_sum / n, hits / n

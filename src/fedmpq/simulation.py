@@ -329,7 +329,7 @@ def _round_metrics(
     """The round's metrics row; ``global_bits`` is the round's aggregated,
     fractional width vector, empty when no quantized round aggregated."""
     data = state.dataset
-    loss, acc = evaluate(state.global_model, data.test_x, data.test_y, act_bits=None)
+    loss, acc = evaluate(state.global_model, data.test_x, data.test_y)
     per_client = tuple(upload_bits.get(n, 0) for n in range(config.clients))
     return RoundMetrics(
         round=round_index,

@@ -6,9 +6,14 @@ have their goldens in tests/golden/: fedmpq without reallocation, fedmpq
 without the Lasso, and the cross-device shape; so has the fp32 arm at the
 weight-space rate 0.05 (at the shared 0.5 it collapses to chance). Each
 holds all three deterministic outputs of a 3-round run at seed 1.
+
+pytest runs at the machine's default BLAS thread count and bench/run.py at
+one thread; the last test reruns the comparisons at one thread.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +53,18 @@ def test_outputs_match_golden(name, tmp_path):
     for output in OUTPUTS:
         golden = ROOT / "tests" / "golden" / name / Path(output).name
         assert (tmp_path / output).read_bytes() == golden.read_bytes(), output
+
+
+@pytest.mark.slow
+def test_goldens_hold_at_one_blas_thread(tmp_path):
+    # A float64 matmul's bits may depend on the BLAS thread count, so
+    # the byte-identity above is rechecked in a fresh process, where the
+    # thread count is read when numpy loads its BLAS.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    tests = [f"{__file__}::{t.__name__}" for t in (test_metrics_match_golden, test_outputs_match_golden)]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--basetemp={tmp_path}", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-3000:]
+    assert f"{len(workloads.GOLDEN_ARMS) + len(WIDER)} passed" in result.stdout

@@ -645,22 +645,42 @@ class TestEvaluate:
             evaluate(model, np.empty((0, 3)), np.empty(0, dtype=int))
 
     def test_peak_memory_is_one_hidden_activation(self):
-        # The round-end evaluation's shape: 2,000 test rows in one batch
-        # through a 20-256-8-10 MLP. Its peak is set by the first hidden
-        # layer's (2000, 256) float64 activation; ReLU runs in place, so
-        # that layer holds one such array, not a pre-activation and a copy.
+        # 6,000 test rows through a 20-256-8-10 MLP. Evaluation runs in
+        # row blocks of at most 512 samples, so its peak is set by one
+        # block's (<= 512, 256) float64 activation (1 MiB), not by the test
+        # set's (6000, 256) one (11.7 MiB). ReLU runs in place, so a block
+        # holds one such array, not a pre-activation and a copy.
         spec = ModelSpec((DenseSpec(20, 256), DenseSpec(256, 8), DenseSpec(8, 10)), (20,), 10)
         rng = np.random.default_rng(0)
         model = init_dense_model(spec, rng)
-        x = rng.normal(size=(2000, 20))
-        y = rng.integers(0, 10, size=2000)
+        x = rng.normal(size=(6000, 20))
+        y = rng.integers(0, 10, size=6000)
         tracemalloc.start()
         try:
             evaluate(model, x, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2000 * 256 * 8
+        assert peak <= 2.5 * 2**20
+
+    @pytest.mark.parametrize("kind", ["mlp", "conv"])
+    def test_blocks_match_one_forward(self, kind):
+        # 1,100 samples make three blocks (367, 367, 366). The reference is
+        # one forward over every sample and one mean cross-entropy.
+        rng = np.random.default_rng(5)
+        if kind == "mlp":
+            spec = ModelSpec((DenseSpec(6, 32), DenseSpec(32, 4)), (6,), 4)
+            model = init_dense_model(spec, rng)
+        else:
+            model, _ = tiny_conv(rng)
+        x = rng.normal(size=(1100, *model.spec.input_shape))
+        y = rng.integers(0, model.spec.num_classes, size=1100)
+        logits, _ = forward(model, x, act_bits=None)
+        ref_loss, _ = softmax_cross_entropy(logits, y)
+        ref_acc = float(np.mean(logits.argmax(axis=1) == y))
+        loss, acc = evaluate(model, x, y)
+        assert acc == ref_acc
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
 
     def test_repeat_evaluations_identical(self, blob_shard):
         spec = ModelSpec((DenseSpec(8, 4),), (8,), 4)
