@@ -164,7 +164,9 @@ def binary_representation(
     so the deliveries of one round quantize each layer once per width and
     share the immutable result. Each layer stored there is memoized
     (QuantizedLayer.memoize): every client delivered its width then reads
-    one read-only plane stack and one group-Lasso term per weight. Without
+    one read-only plane stack and one group-Lasso term per weight. The
+    round drops ``grids`` once its models are built, so a grid's memo is
+    freed after the last group of clients that reads it. Without
     ``grids`` the layers carry no memo.
     """
     widths = np.asarray(bit_widths, dtype=np.int64)

@@ -4,11 +4,14 @@ Four algorithm arms share one round loop. ``fedmpq`` runs the full
 pipeline (sparsity-promoting local training, MSB pruning, server-side bit
 reallocation); ``aqfl`` fixes every client at its own budget; ``fpq-k``
 fixes everyone at ``fpq_bits``; ``fp32`` trains full precision. A round
-runs in three passes over its sampled clients: deliver every model, train
-every client, accept every upload; the server state changes only once all
-three have passed and the uploads are aggregated. Everything is
-deterministic given the master seed: clients own private RNG streams keyed
-by (seed, client, round) and aggregation sorts by client id.
+runs in three passes over its sampled clients: deliver, deciding the
+widths once per distinct client state and building one model per distinct
+width vector; train, each width vector's clients back to back; accept
+every upload, in id order. The server state changes only once all three
+have passed and the uploads are aggregated. Everything is deterministic
+given the master seed: clients own private RNG streams keyed by (seed,
+client, round), so the training order does not matter, and aggregation
+sorts by client id.
 """
 
 from __future__ import annotations
@@ -362,67 +365,87 @@ def _seed_words(*values: int) -> np.ndarray:
 
 
 def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> RoundMetrics:
-    """One global round: three passes over the sampled clients in id order,
-    then FedAvg aggregation and reallocation, shared by every arm.
+    """One global round: deliver, train and accept over the sampled
+    clients, then FedAvg aggregation and reallocation, shared by every arm.
 
-    Deliver reads ``state``: each client's widths, checked against its
-    budget, its generator keyed by (seed, client, round) and its model at
-    those widths; clients delivered one width share each layer, and its
-    memoized plane stack and Lasso term, through ``grids``, which is
-    dropped once every client is delivered. Train gathers each client's
-    shard and trains on it; a model that is not finite fails the round.
-    Each delivered model is released once its client has trained, so a
-    shared layer and its memo are freed after their last client. Accept
-    turns each trained model into a ClientUpdate, checks its widths and
-    counts its wire cost. Only after the aggregate does ``state`` change,
-    so a round that fails leaves it as it was; the error names the round
-    and the client.
+    Deliver reads ``state``. A client's widths depend only on its budget
+    and its ``delivered`` and ``uploaded`` rows, so they are decided, and
+    checked against the budget, once per distinct such state; a failed
+    check names the state's lowest-id client. One model is built per
+    distinct width vector, through ``grids``: width vectors that agree on
+    a layer share that layer and its memoized plane stack and Lasso term.
+    Train runs each width vector's clients back to back, the groups in the
+    order of their first client and each group in id order. Every client
+    trains on its own shard with its own generator, keyed by (seed, client,
+    round) and drawn at delivery, so the grouping leaves every result as it
+    was. A model that is not finite fails the round. Each delivered model
+    is released after its group's last client, so a grid's memo goes with
+    the last group that reads it. Accept turns each trained model, in id
+    order, into a ClientUpdate, checks its widths and counts its wire
+    cost. Only after the aggregate does ``state`` change, so a round that
+    fails leaves it as it was; the error names the round and the first
+    client to fail in training order.
     """
     started = time.perf_counter()
     arm = _arm_settings(config)
     global_model = state.global_model
     m = global_model.spec.param_counts
+    sampled = sample_clients(config.clients, config.participation, round_index, config.seed).tolist()
 
-    jobs = []  # (client, delivered widths, generator, delivered model)
-    grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by clients
-    for n in sample_clients(config.clients, config.participation, round_index, config.seed).tolist():
-        widths = _delivery_bits(state, arm, n, config.budgets[n])
-        if arm.fixed_bits is None:
-            check_width_budget(n, widths, m, config.budgets[n], "delivered widths")
+    decided = {}  # (budget, delivered row, uploaded row) -> delivered widths
+    groups = {}  # delivered widths -> (delivered model, its (client, generator) pairs in id order)
+    grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by width vectors
+    rows = np.hstack((state.delivered, state.uploaded))[sampled].tolist()
+    for n, row in zip(sampled, rows):
+        budget = config.budgets[n]
+        key = (budget, *row)
+        if key not in decided:
+            widths = _delivery_bits(state, arm, n, budget)
+            if arm.fixed_bits is None:
+                check_width_budget(n, widths, m, budget, "delivered widths")
+            decided[key] = tuple(widths.tolist())
+        widths = decided[key]
+        if widths not in groups:
+            model = global_model
+            if arm.quantized:
+                try:
+                    model = Model(
+                        global_model.spec,
+                        binary_representation(global_model.layers, widths, grids),
+                        global_model.biases,
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
+            groups[widths] = (model, [])
         rng = np.random.default_rng(_seed_words(config.seed, _SALT_CLIENT, n, round_index))
-        model = global_model
-        if arm.quantized:
-            try:
-                layers = binary_representation(global_model.layers, widths, grids)
-            except ValueError as exc:
-                raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
-            model = Model(global_model.spec, layers, global_model.biases)
-        jobs.append((n, widths, rng, model))
-    del grids
+        groups[widths][1].append((n, rng))
+    del grids, model  # each delivered model is now held by its group alone
 
     train = local_update if arm.quantized else local_update_dense
-    trained = []  # (client, delivered widths, trained model)
-    jobs.reverse()  # popped in client order, so each delivered model goes once trained
-    while jobs:
-        n, widths, rng, model = jobs.pop()
-        idx = state.shards[n]
-        try:
-            model = train(model, state.dataset.train_x[idx], state.dataset.train_y[idx], arm.train, rng)
-            arrays = [*model.biases, *([] if arm.quantized else model.layers)]
-            if not np.isfinite(np.concatenate(arrays, axis=None)).all():
-                raise ValueError("trained model is not finite")
-        except ValueError as exc:
-            raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
-        trained.append((n, widths, model))
+    trained = {}  # client -> (delivered widths, trained model)
+    for widths in list(groups):
+        delivered, clients = groups.pop(widths)  # released after its last client
+        for n, rng in clients:
+            idx = state.shards[n]
+            try:
+                model = train(delivered, state.dataset.train_x[idx], state.dataset.train_y[idx], arm.train, rng)
+                arrays = [*model.biases, *([] if arm.quantized else model.layers)]
+                if not np.isfinite(np.concatenate(arrays, axis=None)).all():
+                    raise ValueError("trained model is not finite")
+            except ValueError as exc:
+                raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
+            trained[n] = (widths, model)
+    del delivered  # the last group's model, before the uploads are aggregated
 
     updates: list[ClientUpdate] = []
     upload_bits: dict[int, int] = {}  # wire cost per sampled client
-    for n, widths, model in trained:
+    for n in sampled:
+        widths, model = trained[n]
         update = ClientUpdate(
             client_id=n,
             layers=tuple(model.layers),
             biases=tuple(model.biases),
-            delivered_bits=tuple(widths.tolist()),
+            delivered_bits=widths,
             num_samples=len(state.shards[n]),
             budget=float(config.budgets[n]),
         )

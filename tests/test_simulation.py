@@ -246,8 +246,39 @@ def test_seed_words_reject_negative_entries():
         simulation._seed_words(1, -1)
 
 
+BLOBS = Path(__file__).resolve().parent.parent / "configs" / "blobs.ini"
+# configs/blobs.ini as the cross-device benchmark workload runs it.
+CROSS_DEVICE = {
+    "clients": "200",
+    "participation": "0.5",
+    "local_epochs": "1",
+    "budgets": ",".join(["2", "4", "6", "8"] * 50),
+    "seed": "1",
+}
+
+
+def shard_owners(state, clients):
+    """Each client's training rows, as bytes, mapped to the client: spies on
+    the training functions tell the clients apart by the rows they get."""
+    return {state.dataset.train_x[state.shards[n]].tobytes(): n for n in clients}
+
+
+def width_groups(state, config, round_index):
+    """The round's sampled clients grouped by the widths they are delivered,
+    the groups in the order of their first client."""
+    arm = _arm_settings(config)
+    groups = {}
+    for n in sample_clients(config.clients, config.participation, round_index, config.seed).tolist():
+        groups.setdefault(tuple(_delivery_bits(state, arm, n, config.budgets[n]).tolist()), []).append(n)
+    return groups
+
+
 @pytest.mark.parametrize("seed", [2**32 + 5, 99999999999])
 def test_run_round_trains_each_client_on_its_list_seeded_stream(seed, monkeypatch):
+    def want(drawn):
+        return {n: np.random.default_rng([seed, simulation._SALT_CLIENT, n, 1]).bit_generator.state for n in drawn}
+
+    # fp32 clients train in id order.
     config = small_config(algorithm="fp32", seed=seed, rounds=1)
     state = init_state(config)
     seen = []
@@ -259,25 +290,30 @@ def test_run_round_trains_each_client_on_its_list_seeded_stream(seed, monkeypatc
 
     monkeypatch.setattr(simulation, "local_update_dense", spy)
     run_round(state, config, 1)
-    drawn = sample_clients(config.clients, config.participation, 1, seed)
-    assert seen == [
-        np.random.default_rng([seed, simulation._SALT_CLIENT, int(n), 1]).bit_generator.state
-        for n in drawn
-    ]
+    drawn = sample_clients(config.clients, config.participation, 1, seed).tolist()
+    assert seen == list(want(drawn).values())
 
+    # Quantized cross-device clients train grouped by delivered widths, so
+    # each stream is matched to its client through the client's shard.
+    config = parse_config(BLOBS, {**CROSS_DEVICE, "seed": str(seed)})
+    state = init_state(config)
+    drawn = sample_clients(config.clients, config.participation, 1, seed).tolist()
+    shard_of = shard_owners(state, drawn)
+    streams = {}
+    train_q = simulation.local_update
 
-# configs/blobs.ini as the cross-device benchmark workload runs it.
-CROSS_DEVICE = {
-    "clients": "200",
-    "participation": "0.5",
-    "local_epochs": "1",
-    "budgets": ",".join(["2", "4", "6", "8"] * 50),
-    "seed": "1",
-}
+    def spy_q(model, xs, ys, cfg, rng):
+        streams[shard_of[xs.tobytes()]] = rng.bit_generator.state
+        return train_q(model, xs, ys, cfg, rng)
+
+    monkeypatch.setattr(simulation, "local_update", spy_q)
+    run_round(state, config, 1)
+    assert list(streams) != drawn  # trained grouped, not in id order
+    assert streams == want(drawn)
 
 
 def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
-    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", CROSS_DEVICE)
+    config = parse_config(BLOBS, CROSS_DEVICE)
     state = init_state(config)
     quantized = []  # (real matrix, width) of every quantize call the server makes
     quantize = server.quantize
@@ -314,7 +350,7 @@ def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
 
 
 def test_cross_device_round_counts_each_delivered_grid_once(monkeypatch):
-    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", CROSS_DEVICE)
+    config = parse_config(BLOBS, CROSS_DEVICE)
     state = init_state(config)
     run_round(state, config, 1)
     delivered = {}  # id -> layer, for every layer a round delivers through its grids
@@ -340,7 +376,7 @@ def test_cross_device_round_counts_each_delivered_grid_once(monkeypatch):
 
 
 def test_cross_device_rounds_global_widths_once_per_round(monkeypatch):
-    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", CROSS_DEVICE)
+    config = parse_config(BLOBS, CROSS_DEVICE)
     state = init_state(config)
     calls = []
     rounded = simulation.round_bitwidths
@@ -361,7 +397,7 @@ def test_cross_device_rounds_global_widths_once_per_round(monkeypatch):
 
 
 def test_cross_device_round_delivers_all_then_trains_all_then_accepts_all(monkeypatch):
-    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", CROSS_DEVICE)
+    config = parse_config(BLOBS, CROSS_DEVICE)
     state = init_state(config)
     events = []
 
@@ -376,21 +412,117 @@ def test_cross_device_round_delivers_all_then_trains_all_then_accepts_all(monkey
     monkeypatch.setattr(simulation, "local_update", recording("train", simulation.local_update))
     monkeypatch.setattr(server.ClientUpdate, "check_budget", recording("accept", server.ClientUpdate.check_budget))
     for r in (1, 2):
+        vectors = width_groups(state, config, r)
         events.clear()
         run_round(state, config, r)
         phases = [kind for i, kind in enumerate(events) if i == 0 or events[i - 1] != kind]
         # The last binary_representation is the metrics' plane densities of
         # the new aggregate, after every upload was accepted.
         assert phases == ["deliver", "train", "accept", "deliver"]
-        assert (events.count("deliver"), events.count("train"), events.count("accept")) == (101, 100, 100)
+        # One delivered model per distinct width vector; every client trains
+        # and every upload is accepted.
+        assert 1 < len(vectors) < 100
+        counts = (events.count("deliver"), events.count("train"), events.count("accept"))
+        assert counts == (len(vectors) + 1, 100, 100)
+
+
+def test_cross_device_decides_once_per_state_and_builds_once_per_width_vector(monkeypatch):
+    config = parse_config(BLOBS, CROSS_DEVICE)
+    state = init_state(config)
+    decided = []  # the budget of every pruning_growing call
+    reallocate = simulation.pruning_growing
+
+    def counted(bits, reductions, param_counts, budget):
+        decided.append(budget)
+        return reallocate(bits, reductions, param_counts, budget)
+
+    models = []  # every model local_update receives
+    train = simulation.local_update
+
+    def spy(model, *args):
+        models.append(model)
+        return train(model, *args)
+
+    monkeypatch.setattr(simulation, "pruning_growing", counted)
+    monkeypatch.setattr(simulation, "local_update", spy)
+    per_round = []
+    for r in range(1, 5):
+        decided.clear()
+        models.clear()
+        run_round(state, config, r)
+        distinct = {id(m): tuple(map(wire_bits, m.layers)) for m in models}
+        assert len(set(distinct.values())) == len(distinct)  # one model per width vector
+        per_round.append((len(decided), len(distinct), len(models)))
+    # Round 1 delivers the uploaded widths, with nothing to reallocate; the
+    # 100 clients then fall into 4, 7 and 11 (budget, delivered, uploaded)
+    # states, and 4, 4, 3 and 3 width vectors.
+    assert per_round == [(0, 4, 100), (4, 4, 100), (7, 3, 100), (11, 3, 100)]
+
+
+def test_cross_device_budget_failure_names_the_states_lowest_id_client(monkeypatch):
+    config = parse_config(BLOBS, CROSS_DEVICE)
+    state = init_state(config)
+    run_round(state, config, 1)
+    decided = []
+    reallocate = simulation.pruning_growing
+
+    def over_budget_at_4(bits, reductions, param_counts, budget):
+        decided.append(budget)
+        if budget == 4:
+            return np.full(len(param_counts), 8, dtype=np.int64)
+        return reallocate(bits, reductions, param_counts, budget)
+
+    monkeypatch.setattr(simulation, "pruning_growing", over_budget_at_4)
+    drawn = sample_clients(config.clients, config.participation, 2, config.seed).tolist()
+    fours = [n for n in drawn if config.budgets[n] == 4]
+    # The budget-4 clients of round 2 share one state, decided once.
+    assert len({(*state.delivered[n], *state.uploaded[n]) for n in fours}) == 1 < len(fours)
+    with pytest.raises(ValueError, match=rf"^client {fours[0]}: delivered widths average 8.000 bits exceeds its budget 4$"):
+        run_round(state, config, 2)
+    assert decided.count(4) == 1
+
+
+def test_cross_device_trains_each_width_vectors_clients_back_to_back(monkeypatch):
+    config = parse_config(BLOBS, CROSS_DEVICE)
+    state = init_state(config)
+    order = []  # (delivered widths, client) in training order
+    shard_of = {}
+    train = simulation.local_update
+
+    def spy(model, xs, *args):
+        order.append((tuple(map(wire_bits, model.layers)), shard_of[xs.tobytes()]))
+        return train(model, xs, *args)
+
+    monkeypatch.setattr(simulation, "local_update", spy)
+    for r in range(1, 5):
+        drawn = sample_clients(config.clients, config.participation, r, config.seed).tolist()
+        shard_of = shard_owners(state, drawn)
+        groups = width_groups(state, config, r)
+        order.clear()
+        run_round(state, config, r)
+        assert order == [(widths, n) for widths, clients in groups.items() for n in clients]
+        assert [n for _, n in order] != drawn  # the groups interleave in id order
+
+
+def snapshot(state):
+    """Every field of the state, and a copy of each array field."""
+    fields = dict(vars(state))
+    return fields, {name: value.copy() for name, value in fields.items() if isinstance(value, np.ndarray)}
+
+
+def assert_unchanged(state, snap):
+    fields, arrays = snap
+    for name, value in vars(state).items():
+        assert value is fields[name], name
+    for name, value in arrays.items():
+        np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
 
 
 def test_failed_round_leaves_the_state_as_it_was(monkeypatch):
-    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "blobs.ini", {"seed": "1"})
+    config = parse_config(BLOBS, {"seed": "1"})
     state = init_state(config)
     run_round(state, config, 1)
-    before = dict(vars(state))
-    arrays = {name: value.copy() for name, value in before.items() if isinstance(value, np.ndarray)}
+    before = snapshot(state)
     assert state.delivered[:2].tolist() == state.uploaded[:2].tolist() == [[2, 2, 2]] * 2
     calls = []
     train = simulation.local_update
@@ -407,10 +539,35 @@ def test_failed_round_leaves_the_state_as_it_was(monkeypatch):
     # Two clients trained before the failure; neither their rows nor any
     # other field of the state changed.
     assert len(calls) == 3
-    for name, value in vars(state).items():
-        assert value is before[name], name
-    for name, value in arrays.items():
-        np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
+    assert_unchanged(state, before)
+
+
+def test_failed_cross_device_round_leaves_the_state_as_it_was(monkeypatch):
+    config = parse_config(BLOBS, CROSS_DEVICE)
+    state = init_state(config)
+    run_round(state, config, 1)
+    shard_of = shard_owners(state, sample_clients(config.clients, config.participation, 2, config.seed))
+    # The first client of the second group: higher-id clients of the first
+    # group train before it, lower-id clients of later groups after it.
+    first, second = list(width_groups(state, config, 2).values())[:2]
+    failing = second[0]
+    assert first[-1] > failing > first[0]
+    before = snapshot(state)
+    trained = []
+    train = simulation.local_update
+
+    def fails_once_reached(model, xs, *args):
+        n = shard_of[xs.tobytes()]
+        if n == failing:
+            raise ValueError("diverged")
+        trained.append(n)
+        return train(model, xs, *args)
+
+    monkeypatch.setattr(simulation, "local_update", fails_once_reached)
+    with pytest.raises(ValueError, match=rf"^round 2, client {failing}: diverged$"):
+        run_round(state, config, 2)
+    assert trained == first
+    assert_unchanged(state, before)
 
 
 class TestReductionEquivalence:
