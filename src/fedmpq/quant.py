@@ -49,9 +49,10 @@ class QuantizedLayer:
     bit_width: int
     scale: float
 
-    # Derived arrays of a layer that several clients share (see memoize): the
-    # plane stack under "planes", group-Lasso terms (ste.group_lasso) under
-    # their weight. None on every other layer. Only memoize sets it.
+    # Derived arrays, read-only and kept for the layer's lifetime: the plane
+    # stack under "planes", group-Lasso terms (ste.group_lasso) under their
+    # weight. from_codes gives each layer it builds an empty memo; a layer
+    # built by the bare constructor, as each snapped step is, keeps None.
     memo = None
 
     def __post_init__(self):
@@ -86,24 +87,14 @@ class QuantizedLayer:
         """Width of one grid cell, s / (2^b - 1)."""
         return self.scale / ((1 << self.bit_width) - 1)
 
-    def planes(self) -> np.ndarray:
-        """Binary planes, shape (bit_width, rows, cols), LSB plane first."""
-        shifts = np.arange(self.bit_width, dtype=np.uint8)[:, None, None]
-        return (self.codes >> shifts) & 1
-
     def masked_codes(self) -> np.ndarray:
         """Codes masked bit by bit, shape (bit_width, rows, cols): entry [i]
         is codes & 2^i, that is 2^i times plane i, in one pass."""
         return self.codes & _PLANE_MASKS[: self.bit_width, None, None]
 
-    def memoize(self) -> None:
-        """Keep this layer's derived arrays once computed: its plane stack and
-        its group-Lasso terms, read-only, for as long as the layer lives."""
-        object.__setattr__(self, "memo", {})
-
     def plane_stack(self) -> np.ndarray:
-        """masked_codes() as float64: built once and read-only on a memoized
-        layer, a fresh array on any other."""
+        """masked_codes() as float64: built once and read-only on a layer
+        with a memo, a fresh, writable array on any other."""
         memo = self.memo
         if memo is None:
             return self.masked_codes().astype(np.float64)
@@ -123,8 +114,9 @@ class QuantizedLayer:
     @property
     def packed(self) -> np.ndarray:
         """Wire bytes: one row per plane, LSB plane first, each row the
-        little-bit-order packing of the plane flattened row-major."""
-        flat = self.planes().reshape(self.bit_width, -1)
+        little-bit-order packing of the plane flattened row-major. packbits
+        takes any nonzero entry as a 1, so the masked codes pack as planes."""
+        flat = self.masked_codes().reshape(self.bit_width, -1)
         return np.packbits(flat, axis=1, bitorder="little")
 
     def values(self) -> np.ndarray:
@@ -150,7 +142,9 @@ class QuantizedLayer:
             or np.maximum.reduce(codes, axis=None) >= 1 << MAX_BITS
         ):
             raise ValueError(f"codes out of range for {bit_width}-bit layer")
-        return cls(codes.astype(np.uint8), bit_width, float(scale))
+        layer = cls(codes.astype(np.uint8), bit_width, float(scale))
+        object.__setattr__(layer, "memo", {})
+        return layer
 
 
 FP_WIRE_BITS = 32  # real matrices and biases travel as 32-bit floats

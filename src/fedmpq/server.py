@@ -152,32 +152,14 @@ def pruning_growing(bits, delta_bits, param_counts, budget: float) -> np.ndarray
     return np.array(b, dtype=np.int64)
 
 
-def binary_representation(
-    weights: list[np.ndarray],
-    bit_widths,
-    grids: dict[tuple[int, int], QuantizedLayer] | None = None,
-) -> list[QuantizedLayer]:
+def binary_representation(weights: list[np.ndarray], bit_widths) -> list[QuantizedLayer]:
     """Customized quantized model: each layer on a fresh grid at its width.
 
-    ``grids`` maps (layer index, width) to a layer already quantized from
-    these same weights. It is read first and filled with what is missing,
-    so the deliveries of one round quantize each layer once per width and
-    share the immutable result. Each layer stored there is memoized
-    (QuantizedLayer.memoize): every client delivered its width then reads
-    one read-only plane stack and one group-Lasso term per weight. The
-    round drops ``grids`` once its models are built, so a grid's memo is
-    freed after the last group of clients that reads it. Without
-    ``grids`` the layers carry no memo.
+    Each layer comes from quantize, so it carries a memo: every client
+    delivered this model reads one read-only plane stack and one
+    group-Lasso term per weight of each layer, built on first use.
     """
     widths = np.asarray(bit_widths, dtype=np.int64)
     if len(widths) != len(weights):
         raise ValueError("one bit width per layer is required")
-    if grids is None:
-        return [quantize(w, bw) for w, bw in zip(weights, widths.tolist())]
-    layers = []
-    for l, bw in enumerate(widths.tolist()):
-        if (l, bw) not in grids:
-            grids[l, bw] = quantize(weights[l], bw)
-            grids[l, bw].memoize()
-        layers.append(grids[l, bw])
-    return layers
+    return [quantize(w, bw) for w, bw in zip(weights, widths.tolist())]

@@ -40,7 +40,7 @@ from .nn import (
     local_update,
     local_update_dense,
 )
-from .quant import FP_WIRE_BITS, MAX_BITS, QuantizedLayer, plane_density
+from .quant import FP_WIRE_BITS, MAX_BITS, plane_density
 from .server import (
     ClientUpdate,
     aggregate,
@@ -58,6 +58,8 @@ _SALT_PARTITION = 101
 _SALT_INIT = 202
 _SALT_CLIENT = 303
 _SALT_SAMPLE = 404
+
+_PARTITION_DRAWS = 1000  # Dirichlet draws before a split gives up
 
 
 class PartitionError(Exception):
@@ -125,19 +127,13 @@ class RoundMetrics:
 METRICS_COLUMNS = tuple(f.name for f in fields(RoundMetrics) if f.name != "wall_time_sec")
 
 
-def dirichlet_partition(
-    labels: np.ndarray,
-    n_clients: int,
-    alpha: float,
-    seed: int,
-    max_retries: int = 1000,
-) -> list[np.ndarray]:
+def dirichlet_partition(labels: np.ndarray, n_clients: int, alpha: float, seed: int) -> list[np.ndarray]:
     """Split sample indices across clients, class by class.
 
     Per class, the client proportions are drawn from a symmetric Dirichlet
     with concentration ``alpha``; smaller alpha means more skew. The whole
-    draw is retried until every client holds at least one sample. Labels
-    are class indices, non-negative integers.
+    draw is retried, up to _PARTITION_DRAWS times, until every client holds
+    at least one sample. Labels are class indices, non-negative integers.
     """
     if not (0.0 < alpha < math.inf):
         raise ValueError("alpha must be positive and finite")
@@ -146,7 +142,7 @@ def dirichlet_partition(
     # The classes present, in increasing order; np.unique would import
     # numpy.ma into every run.
     classes = np.flatnonzero(np.bincount(labels))
-    for _ in range(max_retries):
+    for _ in range(_PARTITION_DRAWS):
         shards: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
         for cls in classes:
             idx = rng.permutation(np.flatnonzero(labels == cls))
@@ -159,7 +155,7 @@ def dirichlet_partition(
             return merged
     raise PartitionError(
         f"could not give every one of {n_clients} clients a sample after "
-        f"{max_retries} draws; use a larger dataset or a larger alpha"
+        f"{_PARTITION_DRAWS} draws; use a larger dataset or a larger alpha"
     )
 
 
@@ -372,19 +368,19 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
     and its ``delivered`` and ``uploaded`` rows, so they are decided, and
     checked against the budget, once per distinct such state; a failed
     check names the state's lowest-id client. One model is built per
-    distinct width vector, through ``grids``: width vectors that agree on
-    a layer share that layer and its memoized plane stack and Lasso term.
-    Train runs each width vector's clients back to back, the groups in the
-    order of their first client and each group in id order. Every client
-    trains on its own shard with its own generator, keyed by (seed, client,
-    round) and drawn at delivery, so the grouping leaves every result as it
-    was. A model that is not finite fails the round. Each delivered model
-    is released after its group's last client, so a grid's memo goes with
-    the last group that reads it. Accept turns each trained model, in id
-    order, into a ClientUpdate, checks its widths and counts its wire
-    cost. Only after the aggregate does ``state`` change, so a round that
-    fails leaves it as it was; the error names the round and the first
-    client to fail in training order.
+    distinct width vector; its clients share each layer, and the plane
+    stack and Lasso term that the layer's memo keeps. Train runs each width
+    vector's clients back to back, the groups in the order of their first
+    client and each group in id order. Every client trains on its own
+    shard with its own generator, keyed by (seed, client, round) and drawn
+    at delivery, so the grouping leaves every result as it was. A model
+    that is not finite fails the round. Each delivered model, with its
+    layers' memos, is released after its group's last client. Accept
+    turns each trained model, in id order, into a ClientUpdate, checks its
+    widths and counts its wire cost. Only after the aggregate does
+    ``state`` change, so a round that fails leaves it as it was; the error
+    names the round and, for a client's failure, the first client to fail
+    in training order.
     """
     started = time.perf_counter()
     arm = _arm_settings(config)
@@ -394,7 +390,6 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
 
     decided = {}  # (budget, delivered row, uploaded row) -> delivered widths
     groups = {}  # delivered widths -> (delivered model, its (client, generator) pairs in id order)
-    grids: dict[tuple[int, int], QuantizedLayer] = {}  # delivered layers, shared by width vectors
     rows = np.hstack((state.delivered, state.uploaded))[sampled].tolist()
     for n, row in zip(sampled, rows):
         budget = config.budgets[n]
@@ -411,7 +406,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
                 try:
                     model = Model(
                         global_model.spec,
-                        binary_representation(global_model.layers, widths, grids),
+                        binary_representation(global_model.layers, widths),
                         global_model.biases,
                     )
                 except ValueError as exc:
@@ -419,7 +414,7 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
             groups[widths] = (model, [])
         rng = np.random.default_rng(_seed_words(config.seed, _SALT_CLIENT, n, round_index))
         groups[widths][1].append((n, rng))
-    del grids, model  # each delivered model is now held by its group alone
+    del model  # each delivered model is now held by its group alone
 
     train = local_update if arm.quantized else local_update_dense
     trained = {}  # client -> (delivered widths, trained model)
@@ -454,7 +449,10 @@ def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> Ro
         upload_bits[n] = upload_cost_bits(update)
         updates.append(update)
 
-    weights, biases, bits = aggregate(updates)
+    try:
+        weights, biases, bits = aggregate(updates)
+    except ValueError as exc:
+        raise ValueError(f"round {round_index}: {exc}") from exc
     state.delivered[list(upload_bits)] = [u.delivered_bits for u in updates]
     state.uploaded[list(upload_bits)] = [u.bit_widths for u in updates]
     state.global_model = Model(global_model.spec, weights, biases)

@@ -61,10 +61,11 @@ def group_lasso(layer: QuantizedLayer, weight: float = 1.0) -> tuple[float, np.n
     For a binary plane the norm is sqrt(popcount); the subgradient of an
     all-zero plane is taken to be zero. The returned sum is not weighted.
 
-    A memoized layer (one a round delivers, shared by every client delivered
-    its width; see server.binary_representation) computes the pair once per
-    weight and returns that same pair on every later call, its subgradient
-    read-only. Any other layer gets a fresh, writable subgradient.
+    A layer with a memo (one that from_codes built, such as a delivered
+    layer, shared by every client of its width vector) computes the pair
+    once per weight and returns that same pair on every later call, its
+    subgradient read-only. A layer without one, such as each snapped step
+    builds, gets a fresh, writable subgradient.
     """
     memo = layer.memo
     if memo is not None and weight in memo:
@@ -77,14 +78,14 @@ def group_lasso(layer: QuantizedLayer, weight: float = 1.0) -> tuple[float, np.n
     # rounded once, is not).
     factors = 1.0 / (PLANE_WEIGHTS[: layer.bit_width] * np.maximum(norms, 1.0))
     factors *= weight
-    if memo is None:
-        subgradient = layer.masked_codes().astype(np.float64)
-        subgradient *= factors[:, None, None]
-        return float(np.add.reduce(norms)), subgradient
-    # The same products, taken from the shared plane stack.
-    subgradient = np.multiply(layer.plane_stack(), factors[:, None, None])
-    subgradient.flags.writeable = False
-    term = memo[weight] = (float(np.add.reduce(norms)), subgradient)
+    # Without a memo the plane stack is fresh, so it takes the products; with
+    # one it is shared and read-only, so they go to a new array that is kept.
+    stack = layer.plane_stack()
+    subgradient = np.multiply(stack, factors[:, None, None], out=stack if memo is None else None)
+    term = (float(np.add.reduce(norms)), subgradient)
+    if memo is not None:
+        subgradient.flags.writeable = False
+        memo[weight] = term
     return term
 
 

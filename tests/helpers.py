@@ -24,6 +24,12 @@ def max_value(layer: QuantizedLayer) -> float:
     return layer.step * ((1 << layer.bit_width) - 1 - layer.zero_point)
 
 
+def planes(layer: QuantizedLayer) -> np.ndarray:
+    """Binary planes of the layer's codes, shape (bit_width, rows, cols), LSB
+    plane first: plane i is (codes >> i) & 1."""
+    return np.stack([(layer.codes >> i) & 1 for i in range(layer.bit_width)])
+
+
 def task_plane_grads(grad_w, layer):
     """Closed-form straight-through plane gradients, built independently."""
     out = np.empty((layer.bit_width, *grad_w.shape))

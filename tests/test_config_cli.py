@@ -547,6 +547,18 @@ class TestMalformedInputs:
         empty, full = read_partition(str(path))
         assert empty.dtype == full.dtype == np.int64 and empty.size == 0
 
+    @pytest.mark.parametrize("algorithm", ["fedmpq", "fp32"])
+    def test_round_of_empty_shards_names_the_round(self, config_file, tmp_path, capsys, algorithm):
+        # Round 6 at seed 1 samples client 1 alone, and its shard is empty.
+        flags = ["--clients", "2", "--budgets", "4,4", "--participation", "0.5", "--rounds", "6",
+                 "--seed", "1", "--algorithm", algorithm]
+        assert self.run_with_partition(config_file, tmp_path, {"shards": [list(range(120)), []]}, flags) == 1
+        # The empty shard's warning may come first, as a log line.
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "run failed: round 6: aggregation weights must have positive total mass"
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_diverged_run_names_round_and_client(self, config_file, tmp_path, capsys):
         out = tmp_path / "o"

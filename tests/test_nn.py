@@ -522,10 +522,11 @@ class TestLocalUpdate:
 
     def test_no_planes_on_the_hot_path(self, blob_shard, monkeypatch):
         # The shift-add product and the Lasso subgradient read the masked
-        # codes; the binary planes are built only for wire bytes.
+        # codes; the binary planes are packed only for wire bytes, after
+        # local training.
         calls = []
-        planes = QuantizedLayer.planes
-        monkeypatch.setattr(QuantizedLayer, "planes", lambda layer: calls.append(layer) or planes(layer))
+        packed = QuantizedLayer.packed.fget
+        monkeypatch.setattr(QuantizedLayer, "packed", property(lambda layer: calls.append(layer) or packed(layer)))
         model, cfg = self.model(), self.cfg(lasso_coeff=0.01, prune_threshold=0.2)
         local_update(model, blob_shard.train_x, blob_shard.train_y, cfg, np.random.default_rng(0))
         assert cfg.lasso_coeff > 0

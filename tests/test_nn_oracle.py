@@ -2,10 +2,11 @@
 
 ``_ref_shift_add_matmul``, ``_ref_quantize_activations``, ``_ref_forward``
 and ``_ref_backward`` (with ``_ref_im2col`` and ``_ref_col2im``) are the
-earlier implementations, kept verbatim bar names and docstrings: one matmul
-per binary plane, scaled afterwards; np.clip; fresh arrays throughout; and a
-backward pass that also computes the gradient with respect to the network's
-input, then drops it. The references cache each layer's pre-activation
+earlier implementations, kept verbatim bar names, docstrings and the
+source of the binary planes (``helpers.planes``): one matmul per binary
+plane, scaled afterwards; np.clip; fresh arrays throughout; and a backward
+pass that also computes the gradient with respect to the network's input,
+then drops it. The references cache each layer's pre-activation
 (``_RefCache``, the earlier ``ForwardCache``); ``forward`` caches the ReLU
 output of each hidden layer instead, so those entries are compared against
 ``np.maximum(ref_z, 0.0)``. Every result must match to the byte.
@@ -30,6 +31,8 @@ from fedmpq.nn import (
 )
 from fedmpq.quant import QuantizedLayer, dequantize, quantize, quantize_activations, shift_add_matmul
 
+from helpers import planes
+
 
 @dataclass
 class _RefCache:
@@ -45,10 +48,10 @@ def _ref_shift_add_matmul(activations: np.ndarray, layer: QuantizedLayer) -> np.
         raise ValueError(
             f"activations must be ({layer.cols}, U), got {a.shape}"
         )
-    planes = layer.planes().astype(np.float64)
+    bits = planes(layer).astype(np.float64)
     acc = np.zeros((layer.rows, a.shape[1]))
     for i in range(layer.bit_width):
-        acc += float(1 << i) * (planes[i] @ a)
+        acc += float(1 << i) * (bits[i] @ a)
     return layer.step * (acc - layer.zero_point * a.sum(axis=0)[None, :])
 
 

@@ -16,7 +16,7 @@ from fedmpq.quant import (
     shift_add_matmul,
 )
 
-from helpers import max_value, min_value
+from helpers import max_value, min_value, planes
 
 
 def layer_from_code_grid(codes, scale, bits):
@@ -103,6 +103,16 @@ class TestLayerInvariants:
         layer = quantize(np.ones((2, 2)), 4)
         with pytest.raises(ValueError):
             layer.codes[0, 0] = 15
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_packed_is_the_packing_of_the_binary_planes(self, bits):
+        # packed packs the masked codes, whose entries are 0 or 2^i; packbits
+        # must read each nonzero one as a 1. Every code of the width, so the
+        # narrow widths also pad their last byte.
+        layer = QuantizedLayer.from_codes(np.arange(1 << bits).reshape(1, -1), 1.0, bits)
+        want = np.packbits(planes(layer).reshape(bits, -1), axis=1, bitorder="little")
+        assert (layer.packed.dtype, layer.packed.shape) == (want.dtype, want.shape)
+        assert layer.packed.tobytes() == want.tobytes()
 
 
 class TestQuantize:
@@ -252,7 +262,7 @@ class TestPruneMsbs:
         layer = build_layer_with_densities([0.5, 0.5, 0.02], 3)
         pruned, width = prune_msbs(layer, 0.1)
         assert width == 2
-        msb = layer.planes()[2].astype(bool)
+        msb = planes(layer)[2].astype(bool)
         before = dequantize(layer)[~msb]
         after = dequantize(pruned)[~msb]
         assert np.abs(before - after).max() <= 0.5 * pruned.step + 1e-12

@@ -13,7 +13,7 @@ from fedmpq.server import (
     pruning_growing,
     round_bitwidths,
 )
-from fedmpq.ste import group_lasso
+from fedmpq.ste import apply_update, group_lasso
 
 from helpers import max_value, min_value
 
@@ -234,10 +234,11 @@ class TestBinaryRepresentation:
         assert [l.bit_width for l in layers] == [3, 3]
         assert [l.zero_point for l in layers] == [4, 4]
 
-    def test_layers_without_grids_carry_no_memo(self):
+    def test_each_layer_carries_its_own_empty_memo(self):
         rng = np.random.default_rng(11)
-        layers = binary_representation([rng.normal(size=(4, 3))] * 2, [2, 5])
-        assert [l.memo for l in layers] == [None, None]
+        layers = binary_representation([rng.normal(size=(4, 3))] * 2, [2, 2])
+        assert [l.memo for l in layers] == [{}, {}]
+        assert layers[0].memo is not layers[1].memo
 
 
 def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
@@ -246,26 +247,31 @@ def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
 
 
 class TestDeliveredMemo:
-    """Layers delivered through ``grids`` share their plane stack and Lasso
-    terms; every result must match an unshared copy of the layer bit for bit."""
+    """Layers built by from_codes, which quantize and so delivery build them
+    through, keep their plane stack and Lasso terms in a memo; layers built
+    by apply_update, as every snapped step is, keep none. Every result must
+    match bit for bit."""
 
     def delivered(self, bits, seed=12):
         rng = np.random.default_rng(seed)
         weights = [rng.normal(size=(9, 7)), rng.normal(size=(3, 9))]
-        grids = {}
-        layers = binary_representation(weights, [bits, bits], grids)
-        assert binary_representation(weights, [bits, bits], grids) == layers
+        layers = binary_representation(weights, [bits, bits])
+        layers += [QuantizedLayer.from_codes(l.codes, l.scale, l.bit_width) for l in layers]
         assert all(l.memo == {} for l in layers)
         return layers
 
     @staticmethod
-    def unshared(layer):
-        return QuantizedLayer(layer.codes.copy(), layer.bit_width, layer.scale)
+    def stepped(layer):
+        """The same codes, through apply_update with a zero delta."""
+        out = apply_update(layer, np.zeros((layer.rows, layer.cols)))
+        assert out.memo is None
+        _same_bytes(out.codes, layer.codes)
+        return out
 
     @pytest.mark.parametrize("bits", range(1, 9))
     def test_group_lasso_matches_an_unshared_copy(self, bits):
         for layer in self.delivered(bits):
-            plain = self.unshared(layer)
+            plain = self.stepped(layer)
             for weight in (0.01 * layer.num_params / 90, 1.0):
                 want_sum, want_grad = group_lasso(plain, weight)
                 for _ in range(3):  # the first call fills the memo, the others read it
@@ -278,11 +284,12 @@ class TestDeliveredMemo:
     def test_shift_add_matmul_matches_an_unshared_copy(self, bits):
         rng = np.random.default_rng(bits)
         for layer in self.delivered(bits):
-            plain = self.unshared(layer)
+            plain = self.stepped(layer)
             for _ in range(3):
                 a = rng.uniform(0.0, 2.0, size=(layer.cols, 5))
                 _same_bytes(shift_add_matmul(a, layer), shift_add_matmul(a, plain))
             _same_bytes(layer.plane_stack(), plain.plane_stack())
+            assert layer.plane_stack() is layer.plane_stack()
 
     def test_memo_arrays_are_read_only(self):
         layer = self.delivered(4)[0]
@@ -297,10 +304,12 @@ class TestDeliveredMemo:
                 array += 1.0
 
     def test_unshared_layers_return_fresh_writable_arrays(self):
-        plain = quantize(np.random.default_rng(13).normal(size=(4, 3)), 3)
+        plain = self.stepped(quantize(np.random.default_rng(13).normal(size=(4, 3)), 3))
         first, second = group_lasso(plain, 0.5)[1], group_lasso(plain, 0.5)[1]
-        assert first is not second and first.flags.writeable
-        assert plain.plane_stack().flags.writeable and plain.memo is None
+        assert first is not second and first.flags.writeable and second.flags.writeable
+        stacks = plain.plane_stack(), plain.plane_stack()
+        assert stacks[0] is not stacks[1] and all(s.flags.writeable for s in stacks)
+        assert plain.memo is None
 
 
 class TestClientUpdateValidation:

@@ -85,10 +85,11 @@ class TestDirichletPartition:
         merged = np.sort(np.concatenate(shards))
         np.testing.assert_array_equal(merged, np.arange(500))
 
-    def test_impossible_partition_raises(self):
+    def test_impossible_partition_raises(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_PARTITION_DRAWS", 50)
         labels = np.zeros(3, dtype=int)
-        with pytest.raises(PartitionError, match="larger dataset or a larger alpha"):
-            dirichlet_partition(labels, 10, alpha=0.5, seed=0, max_retries=50)
+        with pytest.raises(PartitionError, match="after 50 draws; use a larger dataset or a larger alpha"):
+            dirichlet_partition(labels, 10, alpha=0.5, seed=0)
 
     def test_classes_with_gaps_cover_the_dataset(self):
         labels = np.array([9, 2, 2, 9, 5, 0, 9, 5] * 10)
@@ -312,7 +313,7 @@ def test_run_round_trains_each_client_on_its_list_seeded_stream(seed, monkeypatc
     assert streams == want(drawn)
 
 
-def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
+def test_cross_device_delivery_quantizes_each_layer_once_per_width_vector(monkeypatch):
     config = parse_config(BLOBS, CROSS_DEVICE)
     state = init_state(config)
     quantized = []  # (real matrix, width) of every quantize call the server makes
@@ -339,7 +340,8 @@ def test_cross_device_delivery_quantizes_once_per_layer_and_width(monkeypatch):
         run_round(state, config, r)
         # Metrics quantize the new aggregate; delivery quantizes the old one.
         calls = [(l, bits) for w, bits in quantized for l, g in enumerate(global_layers) if w is g]
-        assert sorted(calls) == sorted({(l, b) for widths, _, _ in delivered for l, b in enumerate(widths)})
+        vectors = {widths for widths, _, _ in delivered}
+        assert sorted(calls) == sorted((l, b) for widths in vectors for l, b in enumerate(widths))
         shared = {}
         for widths, layers, codes in delivered:
             for layer, first, before in zip(layers, shared.setdefault(widths, layers), codes):
@@ -353,24 +355,25 @@ def test_cross_device_round_counts_each_delivered_grid_once(monkeypatch):
     config = parse_config(BLOBS, CROSS_DEVICE)
     state = init_state(config)
     run_round(state, config, 1)
-    delivered = {}  # id -> layer, for every layer a round delivers through its grids
-    deliver = simulation.binary_representation
+    delivered = {}  # id -> layer, for every layer of every model the round delivers
+    local_update = simulation.local_update
 
-    def spy(weights, widths, grids=None):
-        layers = deliver(weights, widths, grids)
-        if grids is not None:
-            delivered.update((id(l), l) for l in layers)
-        return layers
+    def spy(model, *args, **kwargs):
+        delivered.update((id(l), l) for l in model.layers)
+        return local_update(model, *args, **kwargs)
 
     counted = []
     plane_counts = QuantizedLayer.plane_counts
-    monkeypatch.setattr(simulation, "binary_representation", spy)
+    monkeypatch.setattr(simulation, "local_update", spy)
     monkeypatch.setattr(QuantizedLayer, "plane_counts", lambda layer: counted.append(layer) or plane_counts(layer))
+    groups = width_groups(state, config, 2)
     run_round(state, config, 2)
-    # Every client's first snapped step takes the Lasso term of each delivered
-    # layer; the clients delivered one (layer, width) grid share one count.
+    # Every client's first snapped step takes the Lasso term of each layer it
+    # was delivered. The clients of one width vector share its layers, whose
+    # memos keep the term, so each (width vector, layer) is counted once.
     per_grid = Counter(id(l) for l in counted if id(l) in delivered)
-    assert 3 < len(delivered) < 100
+    assert len(delivered) == len(groups) * len(state.global_model.layers)
+    assert max(map(len, groups.values())) > 1
     assert sorted(per_grid) == sorted(delivered)
     assert set(per_grid.values()) == {1}
 
@@ -567,6 +570,24 @@ def test_failed_cross_device_round_leaves_the_state_as_it_was(monkeypatch):
     with pytest.raises(ValueError, match=rf"^round 2, client {failing}: diverged$"):
         run_round(state, config, 2)
     assert trained == first
+    assert_unchanged(state, before)
+
+
+@pytest.mark.parametrize("algorithm", ["fedmpq", "fp32"])
+def test_round_of_empty_shards_names_the_round_and_leaves_the_state(algorithm, tmp_path):
+    # Client 1 holds no sample, and round 6 at seed 1 samples it alone: its
+    # upload gives the aggregation weights no mass.
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps({"shards": [list(range(200)), []]}))
+    config = small_config(algorithm=algorithm, clients=2, budgets=(4, 4), participation=0.5, rounds=6, seed=1)
+    config = replace(config, data=replace(config.data, partition=str(path)))
+    assert [sample_clients(2, 0.5, r, 1).tolist() for r in (5, 6)] == [[0], [1]]
+    state = init_state(config)
+    for r in range(1, 6):
+        run_round(state, config, r)
+    before = snapshot(state)
+    with pytest.raises(ValueError, match=r"^round 6: aggregation weights must have positive total mass$"):
+        run_round(state, config, 6)
     assert_unchanged(state, before)
 
 

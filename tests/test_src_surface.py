@@ -15,6 +15,15 @@ interface both layer specs implement.
 A private name (one leading underscore, not a dunder) stays inside its
 module: no module imports one from a sibling, and no module reads one off
 an object other than ``self`` or ``cls``.
+
+Every parameter of a ``src/fedmpq`` function or method is one that some
+call in ``src/``, ``bench/`` or ``scripts/`` passes. A parameter without a
+default is passed by every call, so only those with one are checked. A call
+passes one when it names it, spreads ``**`` keywords, or spreads ``*``
+arguments or has more positional arguments than the parameter's position
+(counted after a method's ``self`` or ``cls``; the package has no static
+methods). Calls match by bare name, as above. A setting that no run
+changes is a module constant, not a parameter.
 """
 
 import ast
@@ -25,6 +34,8 @@ PACKAGE = "src/fedmpq"
 CALLERS = ("src", "bench", "scripts")
 # The LayerSpec interface: DenseSpec and Conv2dSpec both implement it.
 SHARED_MEMBERS = {"weight_shape"}
+# The entry point: the console script calls main(), tests pass an argv.
+UNPASSED_PARAMETERS = {"cli.main(argv)"}
 
 
 def _trees(*dirs):
@@ -95,3 +106,51 @@ def test_no_module_reaches_into_another_modules_privates():
                 if not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
                     crossings.append(f"{path.stem}:{node.lineno} reads .{node.attr}")
     assert not crossings, f"private names used outside their module: {crossings}"
+
+
+def _optional_parameters():
+    """(label, bare function name, parameter, position or None) of each
+    parameter with a default; keyword-only parameters have no position."""
+    for path, tree in _trees(PACKAGE):
+        functions = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node.name, node, False))
+            elif isinstance(node, ast.ClassDef):
+                functions += [
+                    (f"{node.name}.{item.name}", item, True) for item in node.body if isinstance(item, ast.FunctionDef)
+                ]
+        for qual, fn, method in functions:
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[int(method) :]
+            first_default = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first_default:], first_default):
+                yield f"{path.stem}.{qual}({arg.arg})", fn.name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{path.stem}.{qual}({arg.arg})", fn.name, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_parameter_is_passed_outside_tests():
+    calls = {}  # bare name -> Call nodes outside tests
+    for _, tree in _trees(*CALLERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [
+        label
+        for label, name, parameter, position in _optional_parameters()
+        if label not in UNPASSED_PARAMETERS
+        and not any(_passes(c, parameter, position) for c in calls.get(name, []))
+    ]
+    assert not unpassed, f"parameters of src/fedmpq that only tests pass, or nothing: {unpassed}"

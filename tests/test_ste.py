@@ -16,7 +16,7 @@ from fedmpq.ste import (
     ste_backward,
 )
 
-from helpers import max_value, plane_update_powers, task_plane_grads
+from helpers import max_value, plane_update_powers, planes, task_plane_grads
 
 
 def unit_step_layer(code=2, scale=3.0, bits=2, shape=(1, 1)):
@@ -228,9 +228,9 @@ class TestApplyUpdate:
         layer = unit_step_layer(code=1)
         updated = apply_update(layer, np.array([[1.0]]))
         assert updated.codes[0, 0] == 2
-        planes = updated.planes()
-        assert planes[0, 0, 0] == 0  # LSB
-        assert planes[1, 0, 0] == 1  # MSB
+        bits = planes(updated)
+        assert bits[0, 0, 0] == 0  # LSB
+        assert bits[1, 0, 0] == 1  # MSB
 
     def test_off_grid_delta_rejected(self):
         layer = unit_step_layer()

@@ -2,7 +2,8 @@
 
 ``_ref_plane_update_powers``, ``_ref_fixed_point_delta``, ``_ref_group_lasso``
 and ``_ref_sgd_step`` are the earlier mask-per-case implementation, kept
-verbatim (bar names and docstrings) as the oracle for the current one:
+verbatim (bar names, docstrings and the source of the binary planes,
+``helpers.planes``) as the oracle for the current one:
 every delta, Lasso value and subgradient must match to the byte, and both
 must leave the client RNG in the same state. ``_RefContext`` is the
 optimizer state they ran on, momentum buffer included; the current
@@ -30,7 +31,7 @@ from fedmpq.ste import (
     ste_backward,
 )
 
-from helpers import plane_update_powers
+from helpers import plane_update_powers, planes
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -51,11 +52,11 @@ def _nearest_pow2_exponent(x: np.ndarray) -> np.ndarray:
 
 
 def _ref_group_lasso(layer: QuantizedLayer) -> tuple[float, np.ndarray]:
-    planes = layer.planes().astype(np.float64)
-    counts = planes.reshape(layer.bit_width, -1).sum(axis=1)
+    bits = planes(layer).astype(np.float64)
+    counts = bits.reshape(layer.bit_width, -1).sum(axis=1)
     norms = np.sqrt(counts)
     safe = np.where(norms > 0.0, norms, 1.0)
-    return float(norms.sum()), planes / safe[:, None, None]
+    return float(norms.sum()), bits / safe[:, None, None]
 
 
 def _ref_plane_update_powers(plane_grads: np.ndarray, lr: float) -> np.ndarray:
