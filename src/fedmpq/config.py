@@ -1,26 +1,70 @@
 """INI experiment configs: strict parsing, overrides, and serialization.
 
 Sections mirror the config dataclasses: [experiment] is ExperimentConfig,
-[train], [model] and [data] its nested TrainConfig, ModelConfig and
-DataConfig, and the keys of a section are its dataclass's field names.
-Unknown keys are rejected with the offending line number. The serializer
-emits every key, so parse -> serialize -> parse is the identity.
+defined here, and [train], [model] and [data] its nested TrainConfig,
+ModelConfig and DataConfig; the keys of a section are its dataclass's
+field names. Unknown keys are rejected with the offending line number.
+The serializer emits every key, so parse -> serialize -> parse is the
+identity.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import re
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import IDX_PATHS, DataConfig
 from .nn import ModelConfig, TrainConfig
-from .simulation import ExperimentConfig
+from .quant import MAX_BITS
+
+ALGORITHMS = ("fedmpq", "aqfl", "fpq-k", "fp32")
 
 
 class ConfigError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    algorithm: str = "fedmpq"
+    clients: int = 10
+    participation: float = 0.5
+    rounds: int = 30
+    budgets: tuple[int, ...] = (2, 2, 4, 4, 4, 6, 6, 6, 8, 8)
+    alpha: float = 0.5
+    seed: int = 0
+    fpq_bits: int = 8
+    use_bit_reallocation: bool = True
+    train: TrainConfig = field(default_factory=TrainConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    data: DataConfig = field(default_factory=DataConfig)
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        if self.clients < 1:
+            raise ValueError("clients must be at least 1")
+        if not (0.0 < self.participation <= 1.0):
+            raise ValueError("participation must lie in (0, 1]")
+        if self.rounds < 0:
+            raise ValueError("rounds must be non-negative")
+        if len(self.budgets) != self.clients:
+            raise ValueError(
+                f"need one budget per client: {len(self.budgets)} budgets, "
+                f"{self.clients} clients"
+            )
+        if any(not (1 <= v <= MAX_BITS) for v in self.budgets):
+            raise ValueError(f"budgets must lie in [1, {MAX_BITS}]")
+        # Written so that NaN fails it too.
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError("alpha must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not (1 <= self.fpq_bits <= MAX_BITS):
+            raise ValueError(f"fpq_bits must lie in [1, {MAX_BITS}]")
 
 
 def _parse_bool(raw: str) -> bool:

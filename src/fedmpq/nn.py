@@ -9,7 +9,6 @@ layer is excluded from both.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,8 +25,6 @@ from .quant import (
     shift_add_matmul,
 )
 from .ste import UpdateContext, sgd_step
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -407,11 +404,9 @@ def local_update(
     Each layer's Lasso weight is lasso_coeff * M_l / M, so a zero coefficient
     trains without the Lasso. Pruning runs unless prune_threshold is None.
     Bit widths can only shrink; the returned model's widths reflect any
-    planes dropped at the end. An empty shard leaves the model untouched.
+    planes dropped at the end. An empty shard takes no step; run_round
+    never passes one.
     """
-    if len(labels) == 0:
-        logger.warning("empty shard: returning the model unchanged")
-        return model
     spec = model.spec
     lams = [cfg.lasso_coeff * c / spec.total_params for c in spec.param_counts]
     trained = _train(model, features, labels, cfg, rng, lams)
@@ -429,10 +424,8 @@ def local_update_dense(
 ) -> Model:
     """Full-precision counterpart of local_update: plain momentum SGD on
     real weights. Activations snap to cfg.activation_bits, which the fp32
-    arm sets to None."""
-    if len(labels) == 0:
-        logger.warning("empty shard: returning the model unchanged")
-        return model
+    arm sets to None. An empty shard takes no step; run_round never passes
+    one."""
     return _train(model, features, labels, cfg, rng, [0.0] * len(model.layers))
 
 

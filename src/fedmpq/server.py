@@ -25,15 +25,14 @@ from .quant import (
 )
 
 
-def check_width_budget(client_id: int, bit_widths, param_counts, budget: float, what: str) -> None:
-    """Average bits must fit the budget, one growing step of slack allowed."""
+def check_width_budget(bit_widths, param_counts, budget: float, what: str) -> None:
+    """Average bits must fit the budget, one growing step of slack allowed.
+    The caller names the client and the round."""
     counts = [int(c) for c in param_counts]
     avg = average_bits(bit_widths, counts)
     slack = max(counts) / sum(counts)
     if avg > budget + slack + 1e-9:
-        raise ValueError(
-            f"client {client_id}: {what} average {avg:.3f} bits exceeds its budget {budget}"
-        )
+        raise ValueError(f"{what} average {avg:.3f} bits exceeds its budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class ClientUpdate:
         return tuple(wire_bits(l) for l in self.layers)
 
     def check_budget(self, param_counts: np.ndarray) -> None:
-        check_width_budget(self.client_id, self.bit_widths, param_counts, self.budget, "upload")
+        check_width_budget(self.bit_widths, param_counts, self.budget, "upload")
 
 
 def aggregation_weights(updates: list[ClientUpdate]) -> np.ndarray:

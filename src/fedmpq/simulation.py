@@ -21,7 +21,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,10 +29,10 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import record_bytes, write_checkpoint
-from .data import DataConfig, Dataset, load_dataset
+from .config import ExperimentConfig, serialize_config
+from .data import Dataset, load_dataset
 from .nn import (
     Model,
-    ModelConfig,
     TrainConfig,
     build_model_spec,
     evaluate,
@@ -52,8 +52,6 @@ from .server import (
 
 logger = logging.getLogger(__name__)
 
-ALGORITHMS = ("fedmpq", "aqfl", "fpq-k", "fp32")
-
 _SALT_PARTITION = 101
 _SALT_INIT = 202
 _SALT_CLIENT = 303
@@ -64,46 +62,6 @@ _PARTITION_DRAWS = 1000  # Dirichlet draws before a split gives up
 
 class PartitionError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    algorithm: str = "fedmpq"
-    clients: int = 10
-    participation: float = 0.5
-    rounds: int = 30
-    budgets: tuple[int, ...] = (2, 2, 4, 4, 4, 6, 6, 6, 8, 8)
-    alpha: float = 0.5
-    seed: int = 0
-    fpq_bits: int = 8
-    use_bit_reallocation: bool = True
-    train: TrainConfig = field(default_factory=TrainConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    data: DataConfig = field(default_factory=DataConfig)
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.clients < 1:
-            raise ValueError("clients must be at least 1")
-        if not (0.0 < self.participation <= 1.0):
-            raise ValueError("participation must lie in (0, 1]")
-        if self.rounds < 0:
-            raise ValueError("rounds must be non-negative")
-        if len(self.budgets) != self.clients:
-            raise ValueError(
-                f"need one budget per client: {len(self.budgets)} budgets, "
-                f"{self.clients} clients"
-            )
-        if any(not (1 <= v <= MAX_BITS) for v in self.budgets):
-            raise ValueError(f"budgets must lie in [1, {MAX_BITS}]")
-        # Written so that NaN fails it too.
-        if not (0.0 < self.alpha < math.inf):
-            raise ValueError("alpha must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not (1 <= self.fpq_bits <= MAX_BITS):
-            raise ValueError(f"fpq_bits must lie in [1, {MAX_BITS}]")
 
 
 @dataclass(frozen=True)
@@ -360,99 +318,103 @@ def _seed_words(*values: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+def _where(round_index: int, client: int | None) -> str:
+    """The round, and the client if any, that a failure or warning names."""
+    return f"round {round_index}" if client is None else f"round {round_index}, client {client}"
+
+
 def run_round(state: SimState, config: ExperimentConfig, round_index: int) -> RoundMetrics:
     """One global round: deliver, train and accept over the sampled
     clients, then FedAvg aggregation and reallocation, shared by every arm.
 
     Deliver reads ``state``. A client's widths depend only on its budget
     and its ``delivered`` and ``uploaded`` rows, so they are decided, and
-    checked against the budget, once per distinct such state; a failed
-    check names the state's lowest-id client. One model is built per
-    distinct width vector; its clients share each layer, and the plane
-    stack and Lasso term that the layer's memo keeps. Train runs each width
-    vector's clients back to back, the groups in the order of their first
-    client and each group in id order. Every client trains on its own
-    shard with its own generator, keyed by (seed, client, round) and drawn
-    at delivery, so the grouping leaves every result as it was. A model
-    that is not finite fails the round. Each delivered model, with its
-    layers' memos, is released after its group's last client. Accept
-    turns each trained model, in id order, into a ClientUpdate, checks its
-    widths and counts its wire cost. Only after the aggregate does
-    ``state`` change, so a round that fails leaves it as it was; the error
-    names the round and, for a client's failure, the first client to fail
-    in training order.
+    checked against the budget, once per distinct such state. One model is
+    built per distinct width vector; its clients share each layer, and the
+    plane stack and Lasso term that the layer's memo keeps. Train runs each
+    width vector's clients back to back, the groups in the order of their
+    first client and each group in id order, each on its own shard with its
+    own generator, keyed by (seed, client, round) and drawn at delivery, so
+    the grouping leaves every result as it was. An empty shard takes no
+    step: its client uploads the delivered model, with a warning. A model
+    that is not finite fails the round. Each delivered model is released
+    after its group's last client. Accept turns each trained model, in id
+    order, into a ClientUpdate, checks its widths and counts its wire cost.
+    Only the aggregate changes ``state``, so a failed round leaves it as it
+    was; a failed client step reads ``round r, client n: <reason>``, naming
+    the first client to fail in its pass's order (for a shared delivery,
+    its lowest-id client); a failed aggregate reads ``round r: <reason>``.
     """
     started = time.perf_counter()
     arm = _arm_settings(config)
     global_model = state.global_model
     m = global_model.spec.param_counts
     sampled = sample_clients(config.clients, config.participation, round_index, config.seed).tolist()
+    train = local_update if arm.quantized else local_update_dense
 
     decided = {}  # (budget, delivered row, uploaded row) -> delivered widths
     groups = {}  # delivered widths -> (delivered model, its (client, generator) pairs in id order)
+    trained = {}  # client -> (delivered widths, trained model)
+    updates: list[ClientUpdate] = []
+    upload_bits: dict[int, int] = {}  # wire cost per sampled client
     rows = np.hstack((state.delivered, state.uploaded))[sampled].tolist()
-    for n, row in zip(sampled, rows):
-        budget = config.budgets[n]
-        key = (budget, *row)
-        if key not in decided:
-            widths = _delivery_bits(state, arm, n, budget)
-            if arm.fixed_bits is None:
-                check_width_budget(n, widths, m, budget, "delivered widths")
-            decided[key] = tuple(widths.tolist())
-        widths = decided[key]
-        if widths not in groups:
-            model = global_model
-            if arm.quantized:
-                try:
+    try:
+        for n, row in zip(sampled, rows):
+            budget = config.budgets[n]
+            key = (budget, *row)
+            if key not in decided:
+                widths = _delivery_bits(state, arm, n, budget)
+                if arm.fixed_bits is None:
+                    check_width_budget(widths, m, budget, "delivered widths")
+                decided[key] = tuple(widths.tolist())
+            widths = decided[key]
+            if widths not in groups:
+                model = global_model
+                if arm.quantized:
                     model = Model(
                         global_model.spec,
                         binary_representation(global_model.layers, widths),
                         global_model.biases,
                     )
-                except ValueError as exc:
-                    raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
-            groups[widths] = (model, [])
-        rng = np.random.default_rng(_seed_words(config.seed, _SALT_CLIENT, n, round_index))
-        groups[widths][1].append((n, rng))
-    del model  # each delivered model is now held by its group alone
+                groups[widths] = (model, [])
+            rng = np.random.default_rng(_seed_words(config.seed, _SALT_CLIENT, n, round_index))
+            groups[widths][1].append((n, rng))
+        del model  # each delivered model is now held by its group alone
 
-    train = local_update if arm.quantized else local_update_dense
-    trained = {}  # client -> (delivered widths, trained model)
-    for widths in list(groups):
-        delivered, clients = groups.pop(widths)  # released after its last client
-        for n, rng in clients:
-            idx = state.shards[n]
-            try:
-                model = train(delivered, state.dataset.train_x[idx], state.dataset.train_y[idx], arm.train, rng)
+        for widths in list(groups):
+            delivered, clients = groups.pop(widths)  # released after its last client
+            for n, rng in clients:
+                idx = state.shards[n]
+                if len(idx):
+                    model = train(delivered, state.dataset.train_x[idx], state.dataset.train_y[idx], arm.train, rng)
+                else:
+                    logger.warning("%s: empty shard: uploading the delivered model", _where(round_index, n))
+                    model = delivered
                 arrays = [*model.biases, *([] if arm.quantized else model.layers)]
                 if not np.isfinite(np.concatenate(arrays, axis=None)).all():
                     raise ValueError("trained model is not finite")
-            except ValueError as exc:
-                raise ValueError(f"round {round_index}, client {n}: {exc}") from exc
-            trained[n] = (widths, model)
-    del delivered  # the last group's model, before the uploads are aggregated
+                trained[n] = (widths, model)
+        del delivered  # the last group's model, before the uploads are aggregated
 
-    updates: list[ClientUpdate] = []
-    upload_bits: dict[int, int] = {}  # wire cost per sampled client
-    for n in sampled:
-        widths, model = trained[n]
-        update = ClientUpdate(
-            client_id=n,
-            layers=tuple(model.layers),
-            biases=tuple(model.biases),
-            delivered_bits=widths,
-            num_samples=len(state.shards[n]),
-            budget=float(config.budgets[n]),
-        )
-        if arm.fixed_bits is None:
-            update.check_budget(m)
-        upload_bits[n] = upload_cost_bits(update)
-        updates.append(update)
+        for n in sampled:
+            widths, model = trained[n]
+            update = ClientUpdate(
+                client_id=n,
+                layers=tuple(model.layers),
+                biases=tuple(model.biases),
+                delivered_bits=widths,
+                num_samples=len(state.shards[n]),
+                budget=float(config.budgets[n]),
+            )
+            if arm.fixed_bits is None:
+                update.check_budget(m)
+            upload_bits[n] = upload_cost_bits(update)
+            updates.append(update)
 
-    try:
+        n = None  # the aggregate is the round's step, not a client's
         weights, biases, bits = aggregate(updates)
     except ValueError as exc:
-        raise ValueError(f"round {round_index}: {exc}") from exc
+        raise ValueError(f"{_where(round_index, n)}: {exc}") from exc
     state.delivered[list(upload_bits)] = [u.delivered_bits for u in updates]
     state.uploaded[list(upload_bits)] = [u.bit_widths for u in updates]
     state.global_model = Model(global_model.spec, weights, biases)
@@ -511,9 +473,6 @@ def write_outputs(
     metrics: list[RoundMetrics],
     state: SimState,
 ) -> None:
-    # config.py imports this module, so its serializer is imported here.
-    from .config import serialize_config
-
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text("\n".join(metrics_csv_rows(metrics)) + "\n")
     with open(out_dir / "rounds.jsonl", "w") as fh:

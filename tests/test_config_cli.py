@@ -19,6 +19,7 @@ from fedmpq.cli import build_parser, main
 from fedmpq.config import (
     OVERRIDE_KEYS,
     ConfigError,
+    ExperimentConfig,
     apply_overrides,
     parse_config,
     parse_config_text,
@@ -26,7 +27,7 @@ from fedmpq.config import (
 )
 from fedmpq.data import IDX_PATHS as IDX_KEYS
 from fedmpq.quant import plane_density, quantize
-from fedmpq.simulation import ExperimentConfig, read_partition, run_experiment
+from fedmpq.simulation import read_partition, run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BLOBS = SRC.parent / "configs" / "blobs.ini"
@@ -548,15 +549,18 @@ class TestMalformedInputs:
         assert empty.dtype == full.dtype == np.int64 and empty.size == 0
 
     @pytest.mark.parametrize("algorithm", ["fedmpq", "fp32"])
-    def test_round_of_empty_shards_names_the_round(self, config_file, tmp_path, capsys, algorithm):
+    def test_round_of_empty_shards_names_the_round(self, config_file, tmp_path, capsys, caplog, algorithm):
         # Round 6 at seed 1 samples client 1 alone, and its shard is empty.
         flags = ["--clients", "2", "--budgets", "4,4", "--participation", "0.5", "--rounds", "6",
                  "--seed", "1", "--algorithm", algorithm]
         assert self.run_with_partition(config_file, tmp_path, {"shards": [list(range(120)), []]}, flags) == 1
-        # The empty shard's warning may come first, as a log line.
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1] == "run failed: round 6: aggregation weights must have positive total mass"
+        # Ahead of it, the empty shard's one warning names its round and client.
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("fedmpq.simulation", "round 6, client 1: empty shard: uploading the delivered model")
+        ]
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

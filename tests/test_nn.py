@@ -426,18 +426,6 @@ class TestLocalUpdate:
         )
         assert all(1 <= wire_bits(l) <= 3 for l in trained.layers)
 
-    def test_empty_shard_returns_model_unchanged(self):
-        model = self.model()
-        trained = local_update(
-            model,
-            np.empty((0, 8)),
-            np.empty(0, dtype=int),
-            self.cfg(),
-            np.random.default_rng(0),
-        )
-        assert trained is model
-        assert tuple(map(wire_bits, trained.layers)) == (5, 5)
-
     def test_determinism(self, blob_shard):
         outs = []
         for _ in range(2):

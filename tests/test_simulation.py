@@ -1,4 +1,6 @@
+import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,14 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmpq import server, simulation
-from fedmpq.config import parse_config
+from fedmpq.config import ExperimentConfig, parse_config
 from fedmpq.data import DataConfig
 from fedmpq.nn import ModelConfig, TrainConfig
-from fedmpq.quant import QuantizedLayer, average_bits, wire_bits
+from fedmpq.quant import QuantizedLayer, average_bits, dequantize, quantize, wire_bits
 from fedmpq.server import pruning_growing
 from fedmpq.simulation import (
     METRICS_COLUMNS,
-    ExperimentConfig,
     PartitionError,
     _arm_settings,
     _client_avg_bits,
@@ -480,7 +481,9 @@ def test_cross_device_budget_failure_names_the_states_lowest_id_client(monkeypat
     fours = [n for n in drawn if config.budgets[n] == 4]
     # The budget-4 clients of round 2 share one state, decided once.
     assert len({(*state.delivered[n], *state.uploaded[n]) for n in fours}) == 1 < len(fours)
-    with pytest.raises(ValueError, match=rf"^client {fours[0]}: delivered widths average 8.000 bits exceeds its budget 4$"):
+    with pytest.raises(
+        ValueError, match=rf"^round 2, client {fours[0]}: delivered widths average 8.000 bits exceeds its budget 4$"
+    ):
         run_round(state, config, 2)
     assert decided.count(4) == 1
 
@@ -588,6 +591,68 @@ def test_round_of_empty_shards_names_the_round_and_leaves_the_state(algorithm, t
     before = snapshot(state)
     with pytest.raises(ValueError, match=r"^round 6: aggregation weights must have positive total mass$"):
         run_round(state, config, 6)
+    assert_unchanged(state, before)
+
+
+# Digests of metrics.csv and rounds.jsonl for the config below; the same as
+# when each local update returned its model on an empty shard.
+EMPTY_SHARD_DIGESTS = {
+    "fedmpq": (
+        "7479ce862ad98f6551ab804c8d108f91990784c6c4e9b4197d5d8e111e1ffeae",
+        "d7e59dcdeb648982d6fb331c5711624befe8d16e7612e98bc5aa27f8f17739e9",
+    ),
+    "fp32": (
+        "6966638f6d66b0f9aec094cb8d3005a73dc79af62fc26f366ff26cc276820e4c",
+        "dd761b9ef285b8374ea70d72b3708ba21a868713a4b0bf90c692c66d975b88d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(EMPTY_SHARD_DIGESTS))
+def test_empty_shard_client_uploads_the_delivered_model(algorithm, tmp_path, monkeypatch, caplog):
+    # Client 2 holds no sample and is sampled with the other three each round.
+    path = tmp_path / "partition.json"
+    shards = [list(range(0, 200, 3)), list(range(1, 200, 3)), [], list(range(2, 200, 3))]
+    path.write_text(json.dumps({"shards": shards}))
+    config = small_config(algorithm=algorithm)
+    config = replace(config, data=replace(config.data, partition=str(path)))
+    name = "local_update" if algorithm == "fedmpq" else "local_update_dense"
+    shard_sizes = []
+    train = getattr(simulation, name)
+
+    def spy(model, xs, *args):
+        shard_sizes.append(len(xs))
+        return train(model, xs, *args)
+
+    monkeypatch.setattr(simulation, name, spy)
+    caplog.set_level(logging.WARNING)
+    _, state = run_experiment(config, tmp_path / "o")
+    assert len(shard_sizes) == 6 and min(shard_sizes) > 0
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("fedmpq.simulation", "WARNING", f"round {i}, client 2: empty shard: uploading the delivered model")
+        for i in (1, 2)
+    ]
+    assert state.uploaded[2].tolist() == state.delivered[2].tolist()
+    outputs = (tmp_path / "o" / "metrics.csv", tmp_path / "o" / "rounds.jsonl")
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in outputs)
+    assert digests == EMPTY_SHARD_DIGESTS[algorithm]
+
+
+def test_accept_failure_names_the_round_and_client(monkeypatch):
+    config = small_config()
+    state = init_state(config)
+    before = snapshot(state)
+    train = simulation.local_update
+
+    def widened(model, *args):
+        trained = train(model, *args)
+        trained.layers[0] = quantize(dequantize(trained.layers[0]), min(wire_bits(model.layers[0]) + 1, 8))
+        return trained
+
+    monkeypatch.setattr(simulation, "local_update", widened)
+    # Every client trains; the accept pass meets client 0, at 2 bits, first.
+    with pytest.raises(ValueError, match=r"^round 1, client 0: local training can only reduce bit-widths$"):
+        run_round(state, config, 1)
     assert_unchanged(state, before)
 
 

@@ -14,7 +14,8 @@ interface both layer specs implement.
 
 A private name (one leading underscore, not a dunder) stays inside its
 module: no module imports one from a sibling, and no module reads one off
-an object other than ``self`` or ``cls``.
+an object other than ``self`` or ``cls``. Every import sits at a module's
+top level, so the import graph has no cycle hidden inside a function.
 
 Every parameter of a ``src/fedmpq`` function or method is one that some
 call in ``src/``, ``bench/`` or ``scripts/`` passes. A parameter without a
@@ -106,6 +107,17 @@ def test_no_module_reaches_into_another_modules_privates():
                 if not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
                     crossings.append(f"{path.stem}:{node.lineno} reads .{node.attr}")
     assert not crossings, f"private names used outside their module: {crossings}"
+
+
+def test_no_import_inside_a_function():
+    nested = set()
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {
+                    f"{path.stem}:{n.lineno}" for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
+                }
+    assert not nested, f"imports inside a function body in src/fedmpq: {sorted(nested)}"
 
 
 def _optional_parameters():
